@@ -31,7 +31,8 @@
 //                       startup and watch it for changes (newer epoch
 //                       wins; see docs/service.md#elasticity)
 //   --membership-poll-ms MS
-//                       membership file poll cadence (default 200)
+//                       membership file poll cadence (default 200;
+//                       0 reads the file at startup and never watches it)
 //
 // `--snapshot S --warm-start S` is the crash-safe restart idiom: every
 // run resumes from the previous run's cache.
@@ -45,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "obs/chrome_trace.hpp"
@@ -119,8 +121,10 @@ int main(int argc, char** argv) {
       options.warm_start_path = argv[++i];
     } else if (arg == "--membership" && i + 1 < argc) {
       options.membership_path = argv[++i];
-    } else if (arg == "--membership-poll-ms" && i + 1 < argc &&
-               parse_int(argv[++i], value)) {
+    } else if (arg == "--membership-poll-ms" && i + 1 < argc) {
+      // 0 is meaningful here: read the view at start, never watch it.
+      value = std::atoi(argv[++i]);
+      if (value < 0) return usage();
       options.membership_poll_ms = static_cast<std::uint32_t>(value);
     } else {
       return usage();
@@ -148,13 +152,17 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  lbs::service::Server server(std::move(options));
+  // The constructor validates the cache geometry, so it belongs in the
+  // try block too: a bad --shards is an error message, not an abort.
+  std::unique_ptr<lbs::service::Server> owned;
   try {
-    server.start();
+    owned = std::make_unique<lbs::service::Server>(std::move(options));
+    owned->start();
   } catch (const std::exception& error) {
     std::cerr << "lbsd: " << error.what() << '\n';
     return 1;
   }
+  lbs::service::Server& server = *owned;
   // endpoint() post-start reports the real TCP port even when 0 was asked.
   std::cout << "lbsd listening on " << server.endpoint().to_string() << " ("
             << server.options().cache_shards << " cache shards, queue depth "

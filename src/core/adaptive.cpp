@@ -37,7 +37,7 @@ AdaptivePlanner::AdaptivePlanner(model::Platform initial,
                                  AdaptiveOptions options)
     : options_(std::move(options)),
       state_(std::make_shared<State>()),
-      cache_(std::make_shared<PlanCache>(options_.cache_capacity)) {
+      cache_(std::make_shared<ShardedPlanCache>(1, options_.cache_capacity)) {
   LBS_CHECK_MSG(initial.size() >= 1, "adaptive planner needs a platform");
   LBS_CHECK_MSG(options_.drift_threshold > 0.0, "drift threshold must be > 0");
   LBS_CHECK_MSG(options_.cooldown >= 0.0, "negative cooldown");

@@ -50,9 +50,9 @@
 #include <span>
 #include <vector>
 
-#include "core/plan_cache.hpp"
 #include "core/planner.hpp"
 #include "core/recovery.hpp"
+#include "core/sharded_plan_cache.hpp"
 #include "model/online_fit.hpp"
 #include "model/platform.hpp"
 #include "obs/metrics.hpp"
@@ -194,7 +194,7 @@ class AdaptivePlanner {
     Stats stats;
   };
   std::shared_ptr<State> state_;
-  std::shared_ptr<PlanCache> cache_;
+  std::shared_ptr<ShardedPlanCache> cache_;  // one shard
   // The recovery replanner (make_ft_replanner over a live-platform
   // provider, sharing cache_): both the replanner() seam and the
   // drift-replan path go through it.

@@ -32,15 +32,10 @@ constexpr long long kExactGrain = 512;
 constexpr long long kOptimizedGrain = 32768;
 constexpr long long kFillGrain = 8192;
 
-// Auto memory policy: keep the classic choice table while it stays under
-// this budget, switch to divide-and-conquer reconstruction beyond.
-constexpr std::size_t kAutoChoiceTableByteLimit = std::size_t{1} << 30;  // 1 GiB
-
-// Divide-and-conquer bottom-out: a recursion node whose int32 choice
-// table fits this budget is solved by one wavefront table pass instead of
-// recursing further. This is what fixes the mode's former 2.5x regression:
-// the O(log p) re-sweeps only happen for slices too large to tabulate.
-constexpr std::size_t kDcSubTableByteLimit = std::size_t{1} << 28;  // 256 MiB
+// Table budget: a recursion node — the whole solve first — whose int32
+// choice table fits this many bytes is solved by one wavefront table pass;
+// only larger nodes pay the divide-and-conquer re-sweeps.
+constexpr std::size_t kTableByteLimit = std::size_t{1} << 30;  // 1 GiB
 
 constexpr long long kMaxChoiceTableItems = std::numeric_limits<std::int32_t>::max();
 
@@ -269,7 +264,7 @@ void optimized_range(const double* comm, const double* comp, const double* down,
 // with the scan's own expression comm[sol] + down[d - sol], so results
 // match the classic scan bit-for-bit except on such crafted ties — and are
 // a deterministic pure function of (d, rows, down) either way, identical
-// across thread counts, chunk grids, and memory modes.
+// across thread counts, chunk grids, and table budgets.
 //
 // Chunk safety: e_hi(d) = min(e*(d), d + 1) - 1 is non-decreasing in d, so
 // for every cell of a chunk [d0, d1) the window floor k_lo(d) = d - e_hi(d)
@@ -414,7 +409,11 @@ struct KernelConfig {
 // Serves the flattened Tcomm/Tcomp rows for one processor at a time:
 // views into a caller-provided CostTable when available, otherwise a pair
 // of scratch rows re-filled per column. Returned pointers are valid until
-// the next get() call.
+// the next get() call. The scratch rows are allocated up front even when
+// the solve is one wavefront pass (which fills rows of its own): without
+// them a p = 16 pass's working set sits just under glibc's dynamic trim
+// threshold, its freed memory stays resident between solves, and peak
+// RSS of repeated planning grows by about half (perfbench plan_dp).
 class RowSource {
  public:
   RowSource(const model::Platform& platform, long long items,
@@ -524,7 +523,7 @@ WavefrontResult wavefront_pass(RowSource& rows, int col_lo, int col_hi,
   const model::Platform& platform = rows.platform();
   LBS_CHECK_MSG(ncols == 0 || choice != nullptr, "wavefront pass needs a choice table");
   LBS_CHECK_MSG(d_in <= kMaxChoiceTableItems,
-                "choice table stores int32 shares; use DpMemory::DivideConquer "
+                "choice table stores int32 shares; the solver recurses "
                 "beyond 2^31 - 1 items");
 
   const long long chunks = (d_in + grain) / grain;  // ceil((d_in + 1) / grain)
@@ -672,95 +671,63 @@ void check_preconditions(const model::Platform& platform, long long items) {
   }
 }
 
-DpMemory resolve_memory(const DpOptions& options, long long items, int processors) {
-  if (options.memory != DpMemory::Auto) return options.memory;
-  if (items > kMaxChoiceTableItems) return DpMemory::DivideConquer;
-  std::size_t table_bytes = static_cast<std::size_t>(processors > 1 ? processors - 1 : 0) *
-                            (static_cast<std::size_t>(items) + 1) * sizeof(std::int32_t);
-  return table_bytes > kAutoChoiceTableByteLimit ? DpMemory::DivideConquer
-                                                 : DpMemory::ChoiceTable;
+std::size_t resolve_table_bytes(const DpOptions& options) {
+  return options.dc_table_bytes != 0 ? options.dc_table_bytes : kTableByteLimit;
 }
 
-std::size_t resolve_dc_table_bytes(const DpOptions& options) {
-  return options.dc_table_bytes != 0 ? options.dc_table_bytes : kDcSubTableByteLimit;
-}
-
-// Classic mode: one wavefront pass over every column, argmins in a flat
-// int32 table, walk the table back from (0, n).
-DpResult run_choice_table(const model::Platform& platform, long long items,
-                          const DpOptions& options, const KernelConfig& kernel,
-                          long long grain) {
-  LBS_CHECK_MSG(items <= kMaxChoiceTableItems,
-                "choice table stores int32 shares; use DpMemory::DivideConquer "
-                "beyond 2^31 - 1 items");
-  const int p = platform.size();
-  const long long n = items;
-  Parallel parallel{resolve_threads(options)};
-  RowSource rows(platform, n, options.cost_table, parallel);
-
-  std::vector<std::int32_t> choice;  // rows for P_1..P_{p-1}; P_p takes the rest
-  if (p > 1) {
-    choice.resize(static_cast<std::size_t>(p - 1) * (static_cast<std::size_t>(n) + 1));
-  }
-  std::vector<long long> shares(static_cast<std::size_t>(p > 1 ? p - 1 : 0), 0);
-
-  WavefrontResult pass = wavefront_pass(rows, 0, p - 1, n, nullptr, choice.data(),
-                                        shares.data(), kernel, parallel, grain);
-
-  DpResult result;
-  result.cost = pass.cost;
-  // Cell count is fully determined by the shape: the seed column evaluates
-  // n + 1 entries, every other column n cells (d = 1..n). Counting here —
-  // not in the parallel chunks — keeps the figure exact and free.
-  result.cells_evaluated = (n + 1) + static_cast<long long>(p - 1) * n;
-  result.threads_used = parallel.threads;
-  result.distribution.counts.assign(static_cast<std::size_t>(p), 0);
-  for (int i = 0; i < p - 1; ++i) {
-    result.distribution.counts[static_cast<std::size_t>(i)] =
-        shares[static_cast<std::size_t>(i)];
-  }
-  result.distribution.counts[static_cast<std::size_t>(p - 1)] = n - pass.taken;
-  validate(platform, result.distribution, n);
-  return result;
-}
-
-// Divide-and-conquer mode (Hirschberg on the processor axis): never store
-// a full argmin table over all of [0, p). solve(lo, hi, d_in, g) fixes the
+// The one solver: Hirschberg-style divide and conquer on the processor
+// axis with a table-pass bottom-out. solve(lo, hi, d_in, g) fixes the
 // shares of processors [lo, hi) given that d_in items enter P_lo and that
-// `g` is the downstream cost column of P_hi..P_p over [0..d_in]. Hybrid
-// bottom-out: a node whose own int32 choice table fits the byte budget is
-// solved by one wavefront table pass (bit-identical by construction —
-// same cells, same argmin walk); only nodes too large to tabulate pay the
-// Hirschberg thru-column split, whose extra re-sweeps are the O(log p)
-// factor. Above the budget each column sweep is a pool barrier, which is
-// fine there: such columns have thousands of chunks, so the barrier is
-// amortized to noise.
+// `g` is the downstream cost column of P_hi..P_p over [0..d_in]. A node
+// whose own int32 choice table fits the byte budget is solved by one
+// wavefront table pass (bit-identical by construction — same cells, same
+// argmin walk); only nodes too large to tabulate pay the thru-column
+// split, whose extra re-sweeps are the O(log p) factor. When the whole
+// problem fits, the root is that single pass with the P_p seed pipelined
+// from its rows, so no recursion scratch is ever allocated. Above the
+// budget each column sweep is a pool barrier, which is fine there: such
+// columns have thousands of chunks, so the barrier is amortized to noise.
 DpResult run_divide_conquer(const model::Platform& platform, long long items,
                             const DpOptions& options, const KernelConfig& kernel,
                             long long grain) {
   const int p = platform.size();
   const long long n = items;
   Parallel parallel{resolve_threads(options)};
-  RowSource rows(platform, n, options.cost_table, parallel);
-  const std::size_t table_budget = resolve_dc_table_bytes(options);
+  const std::size_t table_budget = resolve_table_bytes(options);
+  auto fits_table = [&](int columns, long long d_in) {
+    return d_in <= kMaxChoiceTableItems &&
+           static_cast<std::size_t>(columns) * (static_cast<std::size_t>(d_in) + 1) *
+                   sizeof(std::int32_t) <=
+               table_budget;
+  };
 
-  DpResult result;
-  result.threads_used = parallel.threads;
-  result.distribution.counts.assign(static_cast<std::size_t>(p), 0);
-  if (p == 1) {
-    auto [comm, comp] = rows.get(0, n);
-    result.distribution.counts[0] = n;
-    result.cost = comm[n] + comp[n];
+  if (p == 1 && n > kMaxChoiceTableItems) {
+    // Past the int32 table range a lone processor still takes everything:
+    // evaluate that one cell directly, with no table and no (n+1)-long rows.
+    DpResult result;
+    result.threads_used = parallel.threads;
+    result.distribution.counts.assign(1, n);
+    result.cost = platform[0].comm(n) + platform[0].comp(n);
     result.cells_evaluated = 1;
-    validate(platform, result.distribution, n);
     return result;
   }
-
+  // Allocation order matters for peak RSS: rows, then the table, then the
+  // shares; the result, which outlives this call, only after the solve.
+  // With the result allocated first, a later and slightly larger table
+  // no longer fit where the last one was freed and got a fresh mapping
+  // beside it, so perfbench plan_dp's peak RSS rose by about 3 MB in most
+  // 20 s runs.
+  RowSource rows(platform, n, options.cost_table, parallel);
+  const bool single_pass = fits_table(p - 1, n);
+  std::vector<std::int32_t> choice;
+  if (single_pass) {
+    choice.resize(static_cast<std::size_t>(p - 1) * (static_cast<std::size_t>(n) + 1));
+  }
   std::vector<long long> shares(static_cast<std::size_t>(p - 1), 0);
 
   // Accumulated at column granularity (one add per column sweep, never in
-  // the parallel inner loops), so it exactly tallies the re-sweeps this
-  // mode performs over run_choice_table.
+  // the parallel inner loops), so it exactly tallies the re-sweeps a
+  // recursing solve performs over the single table pass.
   long long cells = 0;
 
   // Applies column i over [0..dmax]: next[d] = cell(i, d) against `down`.
@@ -786,11 +753,7 @@ DpResult run_divide_conquer(const model::Platform& platform, long long items,
       return c.cost;
     }
 
-    const std::size_t node_table_bytes =
-        static_cast<std::size_t>(hi - lo) *
-        (static_cast<std::size_t>(d_in) + 1) * sizeof(std::int32_t);
-    if (node_table_bytes <= table_budget &&
-        d_in <= kMaxChoiceTableItems) {
+    if (fits_table(hi - lo, d_in)) {
       std::vector<std::int32_t> node_choice(
           static_cast<std::size_t>(hi - lo) * (static_cast<std::size_t>(d_in) + 1));
       cells += static_cast<long long>(hi - lo) * d_in;
@@ -857,19 +820,35 @@ DpResult run_divide_conquer(const model::Platform& platform, long long items,
     return cost_lo;
   };
 
-  // Seed column for P_p, then split over the p-1 choosing processors.
-  std::vector<double> seed(static_cast<std::size_t>(n) + 1);
-  {
-    auto [comm, comp] = rows.get(p - 1, n);
-    cells += n + 1;
-    parallel.for_range(0, n + 1, kFillGrain, [&](long long begin, long long end) {
-      for (long long d = begin; d < end; ++d) {
-        seed[static_cast<std::size_t>(d)] = comm[d] + comp[d];
-      }
-    });
+  double cost = 0.0;
+  if (single_pass) {
+    // The whole problem is one table pass: every column's argmins in a
+    // flat int32 table, walked back from (0, n). The seed evaluates n + 1
+    // entries and every other column n cells (d = 1..n).
+    cost = wavefront_pass(rows, 0, p - 1, n, nullptr, choice.data(), shares.data(),
+                          kernel, parallel, grain)
+               .cost;
+    cells = (n + 1) + static_cast<long long>(p - 1) * n;
+  } else {
+    // Seed column for P_p, then split over the p-1 choosing processors.
+    std::vector<double> seed(static_cast<std::size_t>(n) + 1);
+    {
+      auto [comm, comp] = rows.get(p - 1, n);
+      cells += n + 1;
+      parallel.for_range(0, n + 1, kFillGrain, [&](long long begin, long long end) {
+        for (long long d = begin; d < end; ++d) {
+          seed[static_cast<std::size_t>(d)] = comm[d] + comp[d];
+        }
+      });
+    }
+    cost = solve(solve, 0, p - 1, n, std::move(seed));
   }
-  result.cost = solve(solve, 0, p - 1, n, std::move(seed));
+
+  DpResult result;
+  result.cost = cost;
   result.cells_evaluated = cells;
+  result.threads_used = parallel.threads;
+  result.distribution.counts.assign(static_cast<std::size_t>(p), 0);
 
   long long remaining = n;
   for (int i = 0; i < p - 1; ++i) {
@@ -883,28 +862,13 @@ DpResult run_divide_conquer(const model::Platform& platform, long long items,
   return result;
 }
 
-DpResult run_mode(const model::Platform& platform, long long items,
-                  const DpOptions& options, const KernelConfig& kernel,
-                  long long grain) {
-  switch (resolve_memory(options, items, platform.size())) {
-    case DpMemory::ChoiceTable:
-      return run_choice_table(platform, items, options, kernel, grain);
-    case DpMemory::DivideConquer:
-      return run_divide_conquer(platform, items, options, kernel, grain);
-    case DpMemory::Auto:
-      break;
-  }
-  LBS_CHECK_MSG(false, "unreachable: Auto resolved above");
-  return {};
-}
-
 DpResult run(const model::Platform& platform, long long items,
              const DpOptions& options, const KernelConfig& kernel,
              long long grain) {
   obs::Tracer* tracer =
       options.tracer != nullptr ? options.tracer : obs::global_tracer();
   const double begin = tracer != nullptr ? obs::wall_now() : 0.0;
-  DpResult result = run_mode(platform, items, options, kernel, grain);
+  DpResult result = run_divide_conquer(platform, items, options, kernel, grain);
   if (tracer != nullptr) {
     obs::TraceEvent event;
     event.type = obs::EventType::DpSolve;

@@ -27,7 +27,17 @@
 // n = 10^6 a sub-second solve. Algorithm 1's min-reduction has an AVX2
 // path with a bit-identical scalar fallback. The chunk grid is fixed and
 // every chunk is a pure function of its inputs, so results are
-// bit-identical across thread counts, memory modes, and kernels.
+// bit-identical across thread counts, table budgets, and kernels.
+//
+// Reconstruction: a solve whose int32 choice table — (p-1) x (n+1)
+// argmins; shares never exceed n — fits the table budget (1 GiB) is one
+// wavefront pass that records every argmin and walks them back from
+// (0, n). Larger solves, and every solve past 2^31 - 1 items, recurse
+// Hirschberg-style on the processor axis: a node keeps only rolling cost
+// columns plus its realized split point, O(n log p + p) working memory,
+// and each node that fits the budget is again one table pass. The
+// distribution is the same either way; recursion only adds column
+// re-sweeps, which cells_evaluated counts.
 #pragma once
 
 #include <cstddef>
@@ -46,26 +56,12 @@ class Tracer;
 
 namespace lbs::core {
 
-// How the reconstruction information is kept.
-//
-// - ChoiceTable: the classic p x (n+1) argmin table, stored as int32
-//   (shares never exceed n; items > 2^31 - 1 are rejected up front).
-//   Fastest; O(p n) memory.
-// - DivideConquer: Hirschberg-style recursion on the processor axis —
-//   only rolling cost columns plus the realized split points are kept,
-//   O(n log p + p) working memory at an O(log p) factor more column
-//   sweeps. The distribution produced is bit-identical to ChoiceTable's.
-// - Auto: ChoiceTable while the table stays modest, DivideConquer beyond
-//   (and always when items does not fit in int32).
-enum class DpMemory { Auto, ChoiceTable, DivideConquer };
-
 struct DpOptions {
   // 1 forces a serial run; any other value (0 = default) partitions each
   // column over the shared pool (support::shared_pool, sized by
   // LBS_PLANNER_THREADS / hardware concurrency). Results are identical
   // either way.
   int threads = 0;
-  DpMemory memory = DpMemory::Auto;
   // Optional precomputed cost table for this platform covering at least
   // `items`; skips the per-column Tcomm/Tcomp evaluation. Worth building
   // once when planning repeatedly over the same (platform, n).
@@ -74,10 +70,11 @@ struct DpOptions {
   // that support it. The scalar fallback is bit-identical; this switch
   // exists so differential tests can force the comparison.
   bool allow_simd = true;
-  // DivideConquer bottom-out budget: a recursion node whose int32 choice
-  // table fits in this many bytes is solved by one table pass instead of
-  // recursing (0 = the built-in 256 MiB default). Tests shrink it to
-  // force deep recursion; results are identical either way.
+  // Table budget: a recursion node (the whole solve first) whose int32
+  // choice table fits in this many bytes is solved by one table pass
+  // instead of recursing (0 = the built-in 1 GiB default). Tests and
+  // benches shrink it to force recursion; results are identical either
+  // way.
   std::size_t dc_table_bytes = 0;
   // Observability hooks. A null tracer falls back to obs::global_tracer()
   // (still usually null); each solve then emits one dp.solve span carrying
@@ -91,9 +88,9 @@ struct DpResult {
   Distribution distribution;
   double cost = 0.0;  // predicted makespan of the optimal distribution
   // Provenance: DP cells evaluated (counted at column granularity, so the
-  // figure is scheduling-independent) and the thread count used. The
-  // divide-and-conquer mode reports its extra O(log p) re-sweeps, making
-  // the two memory modes directly comparable.
+  // figure is scheduling-independent) and the thread count used. A single
+  // table pass evaluates (n+1) + (p-1) n cells; a recursing solve also
+  // counts its O(log p) re-sweeps, so the two are directly comparable.
   long long cells_evaluated = 0;
   int threads_used = 1;
 };

@@ -1,16 +1,8 @@
 #include "core/plan_cache.hpp"
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "support/error.hpp"
-
 namespace lbs::core {
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
-  LBS_CHECK_MSG(capacity >= 1, "plan cache needs capacity >= 1");
-}
-
-std::vector<std::uint64_t> PlanCache::fingerprint(const model::Platform& platform) {
+std::vector<std::uint64_t> cost_fingerprints(const model::Platform& platform) {
   std::vector<std::uint64_t> prints;
   prints.reserve(static_cast<std::size_t>(platform.size()));
   for (int i = 0; i < platform.size(); ++i) {
@@ -37,100 +29,7 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const {
 
 PlanKey make_plan_key(const model::Platform& platform, long long items,
                       Algorithm algorithm) {
-  return PlanKey{PlanCache::fingerprint(platform), items, algorithm};
-}
-
-void PlanCache::set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-void PlanCache::set_metrics(obs::Metrics* metrics) {
-  if (metrics == nullptr) {
-    hits_counter_ = nullptr;
-    misses_counter_ = nullptr;
-    evictions_counter_ = nullptr;
-    return;
-  }
-  hits_counter_ = &metrics->counter("plan_cache.hits");
-  misses_counter_ = &metrics->counter("plan_cache.misses");
-  evictions_counter_ = &metrics->counter("plan_cache.evictions");
-}
-
-void PlanCache::record_probe(bool hit, long long items) {
-  obs::Tracer* tracer = tracer_ != nullptr ? tracer_ : obs::global_tracer();
-  if (tracer != nullptr) {
-    obs::TraceEvent event;
-    event.type = hit ? obs::EventType::CacheHit : obs::EventType::CacheMiss;
-    event.instant = true;
-    event.start = obs::wall_now();
-    event.arg0 = items;
-    tracer->record(event);
-  }
-  obs::Counter* counter = hit ? hits_counter_ : misses_counter_;
-  if (counter != nullptr) counter->add();
-}
-
-std::optional<ScatterPlan> PlanCache::lookup(const model::Platform& platform,
-                                             long long items, Algorithm algorithm) {
-  PlanKey key{fingerprint(platform), items, algorithm};
-  std::optional<ScatterPlan> found;
-  {
-    std::lock_guard lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++stats_.misses;
-    } else {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      found = it->second->plan;
-    }
-  }
-  record_probe(found.has_value(), items);
-  return found;
-}
-
-void PlanCache::insert(const model::Platform& platform, long long items,
-                       Algorithm algorithm, const ScatterPlan& plan) {
-  PlanKey key{fingerprint(platform), items, algorithm};
-  std::lock_guard lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->plan = plan;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{std::move(key), plan});
-  index_.emplace(lru_.front().key, lru_.begin());
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-    if (evictions_counter_ != nullptr) evictions_counter_->add();
-  }
-}
-
-ScatterPlan PlanCache::plan(const model::Platform& platform, long long items,
-                            Algorithm algorithm, const DpOptions& dp) {
-  PlannerOptions options;
-  options.algorithm = algorithm;
-  options.dp = dp;
-  options.cache = this;
-  return plan_scatter(platform, items, options);
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard lock(mu_);
-  return lru_.size();
-}
-
-void PlanCache::clear() {
-  std::lock_guard lock(mu_);
-  lru_.clear();
-  index_.clear();
-  stats_ = {};
+  return PlanKey{cost_fingerprints(platform), items, algorithm};
 }
 
 }  // namespace lbs::core

@@ -1,49 +1,32 @@
-// LRU caching of scatter plans.
+// Structural keys for caching scatter plans.
 //
 // plan_scatter is a pure function of (platform costs, n, algorithm), and
 // production traffic repeats it: recovery replanning re-plans the same
 // survivor sets on every scatter, root-selection sweeps re-plan the same
 // platform rotated p ways, and hierarchical scatter re-plans each site.
-// The caches here memoize those calls behind an exact structural key —
-// the per-processor cost fingerprints (model::Cost::fingerprint) plus the
-// item count and the requested algorithm — so a repeat plan is a mutex
-// acquisition and a hash lookup instead of an O(p n) (or worse) DP.
+// core::ShardedPlanCache (sharded_plan_cache.hpp) memoizes those calls
+// behind the exact structural key defined here — the per-processor cost
+// fingerprints (model::Cost::fingerprint) plus the item count and the
+// requested algorithm — so a repeat plan is a mutex acquisition and a
+// hash lookup instead of an O(p n) (or worse) DP.
 //
 // Processor labels and machine refs are deliberately *not* part of the
 // key: two platforms with identical cost structure get identical plans.
-// Entries are full ScatterPlans (O(p) memory each), evicted
-// least-recently-used beyond capacity.
-//
-// Two implementations share the PlanCacheBase interface the planner
-// consumes (PlannerOptions::cache):
-//   - PlanCache: one LRU list under one mutex. Right for single-threaded
-//     callers and per-owner caches (recovery replanners).
-//   - ShardedPlanCache (sharded_plan_cache.hpp): N lock-striped LRU
-//     shards for many concurrent callers — the planning service's hot
-//     path. Identical results, the same keys, per-shard locking.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/planner.hpp"
 #include "model/platform.hpp"
 
-namespace lbs::obs {
-class Counter;
-class Metrics;
-class Tracer;
-}
-
 namespace lbs::core {
 
-// Structural identity of one plan request. Shared by every cache
-// implementation and by the planning service's request-coalescing map, so
-// "same key" means the same thing at every layer.
+// Structural identity of one plan request. Shared by the plan cache and
+// by the planning service's request-coalescing map, so "same key" means
+// the same thing at every layer. `algorithm` is the *requested* algorithm
+// (Auto resolves deterministically from the costs, so it is a sound key
+// component).
 struct PlanKey {
   std::vector<std::uint64_t> costs;  // per-processor folded cost fingerprints
   long long items = 0;
@@ -56,79 +39,12 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const;
 };
 
-// Builds the key for (platform, items, algorithm): one fingerprint per
-// processor folding Tcomm and Tcomp, plus the scalars.
+// Structural identity of a platform as the planner sees it: one
+// fingerprint per processor folding Tcomm and Tcomp.
+std::vector<std::uint64_t> cost_fingerprints(const model::Platform& platform);
+
+// Builds the key for (platform, items, algorithm).
 PlanKey make_plan_key(const model::Platform& platform, long long items,
                       Algorithm algorithm);
-
-// What the planner needs from a cache: probe and fill. `algorithm` is the
-// *requested* algorithm (Auto resolves deterministically from the costs,
-// so it is a sound key component).
-class PlanCacheBase {
- public:
-  virtual ~PlanCacheBase() = default;
-
-  [[nodiscard]] virtual std::optional<ScatterPlan> lookup(
-      const model::Platform& platform, long long items, Algorithm algorithm) = 0;
-  virtual void insert(const model::Platform& platform, long long items,
-                      Algorithm algorithm, const ScatterPlan& plan) = 0;
-};
-
-class PlanCache : public PlanCacheBase {
- public:
-  explicit PlanCache(std::size_t capacity = 128);
-
-  // Structural identity of a platform as the planner sees it: one
-  // fingerprint per processor folding Tcomm and Tcomp.
-  static std::vector<std::uint64_t> fingerprint(const model::Platform& platform);
-
-  [[nodiscard]] std::optional<ScatterPlan> lookup(const model::Platform& platform,
-                                                  long long items,
-                                                  Algorithm algorithm) override;
-  void insert(const model::Platform& platform, long long items,
-              Algorithm algorithm, const ScatterPlan& plan) override;
-
-  // Lookup-or-plan convenience: plan_scatter with this cache attached.
-  ScatterPlan plan(const model::Platform& platform, long long items,
-                   Algorithm algorithm = Algorithm::Auto,
-                   const DpOptions& dp = {});
-
-  // Observability hooks; call during setup, before concurrent use. A null
-  // tracer falls back to obs::global_tracer(): every probe then emits a
-  // cache.hit / cache.miss instant (arg0 = items probed). set_metrics
-  // binds the "plan_cache.hits" / "plan_cache.misses" /
-  // "plan_cache.evictions" counters in `metrics` (resolved once here, so
-  // probes stay a couple of atomic adds).
-  void set_tracer(obs::Tracer* tracer);
-  void set_metrics(obs::Metrics* metrics);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear();
-
- private:
-  struct Entry {
-    PlanKey key;
-    ScatterPlan plan;
-  };
-
-  void record_probe(bool hit, long long items);
-
-  std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
-  Stats stats_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Counter* hits_counter_ = nullptr;
-  obs::Counter* misses_counter_ = nullptr;
-  obs::Counter* evictions_counter_ = nullptr;
-};
 
 }  // namespace lbs::core

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "core/closed_form.hpp"
 #include "core/dp.hpp"
 #include "core/heuristic.hpp"
-#include "core/plan_cache.hpp"
 #include "core/rounding.hpp"
+#include "core/sharded_plan_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -50,7 +51,7 @@ Algorithm resolve(const model::Platform& platform, Algorithm requested) {
 // distinguishable without storing the full vector.
 long long folded_fingerprint(const model::Platform& platform) {
   std::uint64_t folded = 0xcbf29ce484222325ULL;
-  for (std::uint64_t print : PlanCache::fingerprint(platform)) {
+  for (std::uint64_t print : cost_fingerprints(platform)) {
     folded ^= print;
     folded *= 0x100000001b3ULL;
   }
@@ -115,8 +116,10 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
   };
 
   const Algorithm algorithm = options.algorithm;
+  std::optional<PlanKey> key;
   if (options.cache != nullptr) {
-    if (auto cached = options.cache->lookup(platform, items, algorithm)) {
+    key = make_plan_key(platform, items, algorithm);
+    if (auto cached = options.cache->lookup(*key)) {
       trace_plan(*cached);
       return *std::move(cached);
     }
@@ -176,9 +179,7 @@ ScatterPlan plan_scatter(const model::Platform& platform, long long items,
   plan.predicted_finish = finish_times(platform, plan.distribution);
   plan.predicted_makespan =
       *std::max_element(plan.predicted_finish.begin(), plan.predicted_finish.end());
-  if (options.cache != nullptr) {
-    options.cache->insert(platform, items, algorithm, plan);
-  }
+  if (options.cache != nullptr) options.cache->insert(*key, plan);
   trace_plan(plan);
   return plan;
 }

@@ -19,7 +19,7 @@
 
 namespace lbs::core {
 
-class PlanCacheBase;
+class ShardedPlanCache;
 
 enum class Algorithm {
   Auto,
@@ -61,13 +61,12 @@ struct ScatterPlan {
 
 struct PlannerOptions {
   Algorithm algorithm = Algorithm::Auto;
-  // Forwarded to exact_dp / optimized_dp (threads, memory mode, cost table).
+  // Forwarded to exact_dp / optimized_dp (threads, cost table, SIMD).
   DpOptions dp;
   // When non-null, consulted before planning and filled after: repeat
-  // plans for the same (costs, items, algorithm) return in O(1). Either a
-  // PlanCache (single mutex) or a ShardedPlanCache (lock-striped, for
-  // concurrent planners) — see core/plan_cache.hpp.
-  PlanCacheBase* cache = nullptr;
+  // plans for the same (costs, items, algorithm) return in O(1). See
+  // core/sharded_plan_cache.hpp; one shard is a single-mutex LRU.
+  ShardedPlanCache* cache = nullptr;
   // Observability hooks. A null tracer falls back to obs::global_tracer();
   // when one is live, every plan_scatter call emits a scatter.plan span
   // (items, resolved algorithm, folded platform fingerprint) and forwards

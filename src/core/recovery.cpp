@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/plan_cache.hpp"
 #include "support/error.hpp"
 
 namespace lbs::core {
@@ -35,7 +34,7 @@ make_ft_replanner(model::Platform platform, Algorithm algorithm) {
 
 std::function<std::vector<long long>(const std::vector<int>&, long long)>
 make_ft_replanner(PlatformProvider provider, Algorithm algorithm,
-                  std::shared_ptr<PlanCache> cache) {
+                  std::shared_ptr<ShardedPlanCache> cache) {
   LBS_CHECK_MSG(provider != nullptr, "null platform provider");
   // Recovery traffic repeats itself: every scatter under the same fault
   // pattern re-plans the same survivor sets for the same remainders, so
@@ -43,7 +42,7 @@ make_ft_replanner(PlatformProvider provider, Algorithm algorithm,
   // platform's cost structure. Because the key is the cost fingerprints,
   // a provider that hands back refreshed costs misses cleanly instead of
   // being served a plan for the old model.
-  if (cache == nullptr) cache = std::make_shared<PlanCache>(64);
+  if (cache == nullptr) cache = std::make_shared<ShardedPlanCache>(1, 64);
   return [provider = std::move(provider), algorithm, cache](
              const std::vector<int>& alive, long long items) {
     auto platform = provider();

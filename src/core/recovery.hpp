@@ -15,8 +15,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/plan_cache.hpp"
 #include "core/planner.hpp"
+#include "core/sharded_plan_cache.hpp"
 #include "model/platform.hpp"
 
 namespace lbs::core {
@@ -31,8 +31,9 @@ model::Platform reduce_platform(const model::Platform& platform,
 // given the surviving rank ids (platform positions, root last) and the
 // undelivered item count, re-runs plan_scatter on the reduced platform and
 // returns per-survivor counts, aligned with the alive list. Each replanner
-// owns a core::PlanCache, so repeated recoveries of the same survivor set
-// and remainder (the common case across scatters) hit in O(1).
+// owns a one-shard core::ShardedPlanCache, so repeated recoveries of the
+// same survivor set and remainder (the common case across scatters) hit
+// in O(1).
 std::function<std::vector<long long>(const std::vector<int>& alive,
                                      long long items)>
 make_ft_replanner(model::Platform platform,
@@ -57,6 +58,6 @@ std::function<std::vector<long long>(const std::vector<int>& alive,
                                      long long items)>
 make_ft_replanner(PlatformProvider provider,
                   Algorithm algorithm = Algorithm::Auto,
-                  std::shared_ptr<PlanCache> cache = nullptr);
+                  std::shared_ptr<ShardedPlanCache> cache = nullptr);
 
 }  // namespace lbs::core

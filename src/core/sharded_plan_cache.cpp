@@ -41,6 +41,8 @@ void ShardedPlanCache::set_metrics(obs::Metrics* metrics) {
   hits_counter_ = &metrics->counter("plan_cache.hits");
   misses_counter_ = &metrics->counter("plan_cache.misses");
   evictions_counter_ = &metrics->counter("plan_cache.evictions");
+  // A lone shard's counters would only repeat the totals.
+  if (shards_.size() == 1) return;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::string prefix = "plan_cache.shard" + std::to_string(i);
     shards_[i]->hits_counter = &metrics->counter(prefix + ".hits");
@@ -99,17 +101,6 @@ void ShardedPlanCache::insert(const PlanKey& key, const ScatterPlan& plan) {
     ++shard.stats.evictions;
     if (evictions_counter_ != nullptr) evictions_counter_->add();
   }
-}
-
-std::optional<ScatterPlan> ShardedPlanCache::lookup(const model::Platform& platform,
-                                                    long long items,
-                                                    Algorithm algorithm) {
-  return lookup(make_plan_key(platform, items, algorithm));
-}
-
-void ShardedPlanCache::insert(const model::Platform& platform, long long items,
-                              Algorithm algorithm, const ScatterPlan& plan) {
-  insert(make_plan_key(platform, items, algorithm), plan);
 }
 
 ScatterPlan ShardedPlanCache::plan(const model::Platform& platform, long long items,

@@ -1,18 +1,19 @@
-// Lock-striped LRU plan cache for concurrent planners.
+// LRU caching of scatter plans, lock-striped for concurrent planners.
 //
-// The single-mutex PlanCache serializes every probe; under the planning
-// service's load (dozens of client connections + a pool of DP workers all
-// probing at once) that mutex becomes the hot path. ShardedPlanCache
-// splits the key space over N independent LRU shards — shard choice is a
-// pure function of PlanKeyHash, so a key always lands on the same shard
-// and two probes contend only when they collide on a shard.
+// The cache maps a PlanKey (plan_cache.hpp) to the full ScatterPlan the
+// planner produced for it (O(p) memory per entry). The key space is split
+// over N independent LRU shards — shard choice is a pure function of
+// PlanKeyHash, so a key always lands on the same shard and two probes
+// contend only when they collide on a shard. Each shard evicts its
+// least-recently-used entry beyond capacity_per_shard.
 //
-// Semantics are identical to PlanCache by construction: the same PlanKey,
-// the same exact-match lookup, per-shard LRU eviction beyond
-// capacity_per_shard. Replaying any request log through a PlanCache and a
-// ShardedPlanCache yields bit-identical plans (the cached values are the
-// planner's outputs either way; only eviction *timing* differs, and an
-// evicted entry merely costs a re-plan of the same pure function).
+// One shard is a plain single-mutex LRU: the right geometry for a
+// per-owner cache (recovery replanners, AdaptivePlanner). The planning
+// service, with dozens of connections and a pool of DP workers probing at
+// once, uses several. The shard count never changes an answer: cached
+// values are the planner's outputs either way; only eviction *timing*
+// differs, and an evicted entry merely costs a re-plan of the same pure
+// function.
 #pragma once
 
 #include <cstdint>
@@ -26,22 +27,21 @@
 
 #include "core/plan_cache.hpp"
 
+namespace lbs::obs {
+class Counter;
+class Metrics;
+class Tracer;
+}
+
 namespace lbs::core {
 
-class ShardedPlanCache : public PlanCacheBase {
+class ShardedPlanCache {
  public:
   // `shards` lock stripes, each an LRU of `capacity_per_shard` plans.
   explicit ShardedPlanCache(int shards = 8, std::size_t capacity_per_shard = 128);
 
-  [[nodiscard]] std::optional<ScatterPlan> lookup(const model::Platform& platform,
-                                                  long long items,
-                                                  Algorithm algorithm) override;
-  void insert(const model::Platform& platform, long long items,
-              Algorithm algorithm, const ScatterPlan& plan) override;
-
-  // Keyed variants for callers that already built the key (the service
-  // computes each request's PlanKey once and reuses it for the cache
-  // probe, the coalescing map, and the final fill).
+  // Callers build the key once (make_plan_key) and reuse it: the planner
+  // for its probe and fill, the service also for its coalescing map.
   [[nodiscard]] std::optional<ScatterPlan> lookup(const PlanKey& key);
   void insert(const PlanKey& key, const ScatterPlan& plan);
 
@@ -50,14 +50,22 @@ class ShardedPlanCache : public PlanCacheBase {
                    Algorithm algorithm = Algorithm::Auto,
                    const DpOptions& dp = {});
 
-  // Observability hooks; call during setup, before concurrent use. Same
-  // contract and metric names as PlanCache ("plan_cache.hits" / ".misses"
-  // / ".evictions"), plus per-shard counters "plan_cache.shard<K>.hits" /
-  // ".misses" so cross-shard balance is visible.
+  // Observability hooks; call during setup, before concurrent use. A null
+  // tracer falls back to obs::global_tracer(): every probe then emits a
+  // cache.hit / cache.miss instant (arg0 = items probed). set_metrics
+  // binds the "plan_cache.hits" / ".misses" / ".evictions" counters in
+  // `metrics` (resolved once here, so probes stay a couple of atomic
+  // adds) and, with more than one shard, per-shard counters
+  // "plan_cache.shard<K>.hits" / ".misses" so cross-shard balance is
+  // visible.
   void set_tracer(obs::Tracer* tracer);
   void set_metrics(obs::Metrics* metrics);
 
-  using Stats = PlanCache::Stats;
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
   [[nodiscard]] Stats stats() const;                   // summed over shards
   [[nodiscard]] std::vector<Stats> shard_stats() const;
 

@@ -80,7 +80,7 @@ class CostFunction {
   // Structural hash over the exact parameters (bit patterns of the
   // coefficients / samples): two costs with equal fingerprints evaluate
   // identically for every x, up to 64-bit hash collisions. This is what
-  // core::PlanCache keys plans on.
+  // core::PlanKey (and so the plan cache) keys plans on.
   [[nodiscard]] virtual std::uint64_t fingerprint() const = 0;
 
   // The serializable description of this function (see CostSpec).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include <sys/socket.h>
@@ -219,22 +220,22 @@ PlanResponse Client::local_plan(const model::Platform& platform, long long items
                                 core::Algorithm algorithm,
                                 const std::string& reason) {
   metrics_->counter("service.client.fallbacks").add();
+  return plan_locally(platform, items, algorithm, options_.fallback_dp_threads,
+                      reason);
+}
+
+PlanResponse plan_locally(const model::Platform& platform, long long items,
+                          core::Algorithm algorithm, int dp_threads,
+                          const std::string& reason) {
   PlanResponse response;
   try {
     core::PlannerOptions planner_options;
     planner_options.algorithm = algorithm;
-    planner_options.dp.threads = options_.fallback_dp_threads;
-    core::ScatterPlan plan = core::plan_scatter(platform, items, planner_options);
-    response.status = PlanStatus::Ok;
-    response.counts = std::move(plan.distribution.counts);
-    response.predicted_makespan = plan.predicted_makespan;
-    response.algorithm_used = plan.algorithm_used;
-    response.dp_cells_evaluated = plan.dp_cells_evaluated;
-    response.has_optimality_bound = plan.has_optimality_bound;
-    response.optimality_gap = plan.optimality_gap;
+    planner_options.dp.threads = dp_threads;
+    response = plan_response(core::plan_scatter(platform, items, planner_options));
     response.local_fallback = true;
     response.message = reason;
-  } catch (const lbs::Error& error) {
+  } catch (const std::exception& error) {
     response.status = PlanStatus::Error;
     response.message = error.what();
   }

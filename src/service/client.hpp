@@ -265,4 +265,13 @@ class Client {
   support::Rng rng_;  // jitter stream, guarded by rng_mu_
 };
 
+// The local fallback Client and FleetClient share: plan_scatter in
+// process with `dp_threads` per solve, answered as an Ok response flagged
+// local_fallback with `reason` as its message. A planner failure — an
+// lbs::Error or any other std::exception, such as std::bad_alloc on an
+// oversized request — becomes an Error response instead.
+[[nodiscard]] PlanResponse plan_locally(const model::Platform& platform,
+                                        long long items, core::Algorithm algorithm,
+                                        int dp_threads, const std::string& reason);
+
 }  // namespace lbs::service

@@ -274,7 +274,8 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
   if (options_.local_fallback) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.fleet.fallbacks").add();
-    return local_plan(platform, items, algorithm, "fleet: all replicas failed");
+    return plan_locally(platform, items, algorithm, options_.fallback_dp_threads,
+                        "fleet: all replicas failed");
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
   metrics_->counter("service.fleet.exhausted").add();
@@ -288,31 +289,6 @@ std::size_t FleetClient::route_of(const model::Platform& platform, long long ite
   std::lock_guard<std::mutex> lock(view_mu_);
   LBS_CHECK_MSG(ring_.node_count() > 0, "fleet membership has no serving replica");
   return slot_index_.at(ring_.node_for(hash));
-}
-
-PlanResponse FleetClient::local_plan(const model::Platform& platform,
-                                     long long items, core::Algorithm algorithm,
-                                     const std::string& reason) {
-  PlanResponse response;
-  try {
-    core::PlannerOptions planner_options;
-    planner_options.algorithm = algorithm;
-    planner_options.dp.threads = options_.fallback_dp_threads;
-    core::ScatterPlan plan = core::plan_scatter(platform, items, planner_options);
-    response.status = PlanStatus::Ok;
-    response.counts = std::move(plan.distribution.counts);
-    response.predicted_makespan = plan.predicted_makespan;
-    response.algorithm_used = plan.algorithm_used;
-    response.dp_cells_evaluated = plan.dp_cells_evaluated;
-    response.has_optimality_bound = plan.has_optimality_bound;
-    response.optimality_gap = plan.optimality_gap;
-    response.local_fallback = true;
-    response.message = reason;
-  } catch (const lbs::Error& error) {
-    response.status = PlanStatus::Error;
-    response.message = error.what();
-  }
-  return response;
 }
 
 FleetClient::Slot* FleetClient::slot_at(std::size_t replica) const {

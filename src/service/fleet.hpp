@@ -195,10 +195,6 @@ class FleetClient {
   [[nodiscard]] std::size_t slot_for_locked(const std::string& spec);
   void membership_watch_loop();
 
-  [[nodiscard]] PlanResponse local_plan(const model::Platform& platform,
-                                        long long items, core::Algorithm algorithm,
-                                        const std::string& reason);
-
   FleetOptions options_;
   obs::Metrics* metrics_ = nullptr;
 

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -109,6 +110,18 @@ std::vector<long long> PlanResponse::displacements() const {
     offset += count;
   }
   return out;
+}
+
+PlanResponse plan_response(core::ScatterPlan plan) {
+  PlanResponse response;
+  response.status = PlanStatus::Ok;
+  response.counts = std::move(plan.distribution.counts);
+  response.predicted_makespan = plan.predicted_makespan;
+  response.algorithm_used = plan.algorithm_used;
+  response.dp_cells_evaluated = plan.dp_cells_evaluated;
+  response.has_optimality_bound = plan.has_optimality_bound;
+  response.optimality_gap = plan.optimality_gap;
+  return response;
 }
 
 std::uint8_t WireReader::read_u8() {

@@ -141,6 +141,11 @@ struct PlanResponse {
   [[nodiscard]] std::vector<long long> displacements() const;
 };
 
+// The Ok response for a plan: counts, makespan, algorithm, DP cells and
+// the Eq. 4 certificate. Every path that answers with a plan — cache hit,
+// fresh solve, client-side fallback — converts through this.
+[[nodiscard]] PlanResponse plan_response(core::ScatterPlan plan);
+
 // A decoded frame: exactly one of the optional bodies is set, matching
 // `type` (control messages carry only the id; StatsResponse carries text).
 struct Message {

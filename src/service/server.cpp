@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -623,14 +624,7 @@ void Server::handle_plan(const std::shared_ptr<Connection>& connection,
   if (auto cached = cache_.lookup(key)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.cache_hits").add();
-    PlanResponse response;
-    response.status = PlanStatus::Ok;
-    response.counts = cached->distribution.counts;
-    response.predicted_makespan = cached->predicted_makespan;
-    response.algorithm_used = cached->algorithm_used;
-    response.dp_cells_evaluated = cached->dp_cells_evaluated;
-    response.has_optimality_bound = cached->has_optimality_bound;
-    response.optimality_gap = cached->optimality_gap;
+    PlanResponse response = plan_response(*std::move(cached));
     response.cache_hit = true;
     respond_plan(waiter, std::move(response));
     return;
@@ -757,14 +751,11 @@ void Server::solve_one(PendingSolve& pending) {
     cache_.insert(pending.key, plan);
     solved_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.solved").add();
-    base.status = PlanStatus::Ok;
-    base.counts = std::move(plan.distribution.counts);
-    base.predicted_makespan = plan.predicted_makespan;
-    base.algorithm_used = plan.algorithm_used;
-    base.dp_cells_evaluated = plan.dp_cells_evaluated;
-    base.has_optimality_bound = plan.has_optimality_bound;
-    base.optimality_gap = plan.optimality_gap;
-  } catch (const lbs::Error& error) {
+    base = plan_response(std::move(plan));
+  } catch (const std::exception& error) {
+    // Admission bounds the request, not the solve: a DP over n items
+    // allocates O(n) columns, so an admitted n can still exhaust memory
+    // (std::bad_alloc). That answers this request, never the daemon.
     errors_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.errors").add();
     base.status = PlanStatus::Error;

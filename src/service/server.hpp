@@ -14,7 +14,10 @@
 //
 // The request path, in order:
 //   1. admission — implausible requests (too many processors, too many
-//      items) get an immediate Error; nothing hostile reaches the DP.
+//      items) get an immediate Error. Admission bounds the request, not
+//      the solve: an admitted item count can still exhaust memory in the
+//      DP, and the solve answers that (std::bad_alloc, like any other
+//      planner exception) with an Error instead of taking the daemon down.
 //   2. cache probe — core::ShardedPlanCache, N lock-striped LRU shards
 //      keyed by the same PlanKey the planner uses. A hit answers without
 //      touching the queue.

@@ -3,15 +3,15 @@
 // Two families of randomized sweeps:
 //
 // 1. Affine platforms never pay for a DP. Algorithm::Auto must route every
-//    all-affine platform to an O(p) path — the closed form when costs are
-//    linear, the LP heuristic otherwise — and the returned plan must carry
+//    all-affine platform to a path independent of n — the closed form when
+//    costs are linear, the LP heuristic otherwise — and the plan must carry
 //    the Eq. 4 certificate: predicted_makespan is within optimality_gap of
 //    the exact-DP optimum, verified here against a real exact_dp solve.
 //
 // 2. The DP engine is deterministic by construction: the chunk grid is
 //    fixed and every chunk is a pure function of its inputs, so thread
-//    count, the AVX2 kernel, the affine monotone-stack kernel, and the
-//    divide&conquer memory mode (even forced into deep recursion) must all
+//    count, the AVX2 kernel, the affine monotone-stack kernel, and a shrunk
+//    table budget (forcing divide&conquer into deep recursion) must all
 //    reproduce the serial distribution AND makespan bit-for-bit — EXPECT_EQ
 //    on the doubles, not a tolerance.
 
@@ -82,7 +82,7 @@ TEST_P(AffineFastPathTest, AutoRoutesAffineToFastPathWithinEq4Bound) {
                  std::to_string(trial) + " p=" + std::to_string(p) +
                  " n=" + std::to_string(n));
 
-    // Never a DP: affine costs always have an O(p) route.
+    // Never a DP: affine costs always have a route independent of n.
     EXPECT_NE(plan.algorithm_used, Algorithm::ExactDp);
     EXPECT_NE(plan.algorithm_used, Algorithm::OptimizedDp);
     EXPECT_EQ(plan.algorithm_used,
@@ -137,7 +137,6 @@ TEST_P(DpBitIdentityTest, EveryVariantReproducesSerialBitForBit) {
                            "threads=" + std::to_string(threads));
     }
     DpOptions dc;
-    dc.memory = DpMemory::DivideConquer;
     dc.dc_table_bytes = 1;  // force recursion all the way down
     expect_bit_identical(platform, n, reference, dc, "divide&conquer deep");
     dc.threads = 3;
@@ -194,7 +193,6 @@ TEST(DpBitIdentity, AffineStackKernelMatchesAcrossChunkBoundaries) {
   expect_bit_identical(platform, n, reference, parallel, "3 threads");
 
   DpOptions dc;
-  dc.memory = DpMemory::DivideConquer;
   dc.dc_table_bytes = 1 << 20;
   expect_bit_identical(platform, n, reference, dc, "divide&conquer 1 MiB budget");
 }

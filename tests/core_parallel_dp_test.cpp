@@ -1,8 +1,8 @@
 // The planner performance layer: column-parallel DP, cost tables,
 // divide-and-conquer reconstruction, and the plan cache. The contract
 // under test everywhere: every engine variant produces *exactly* the
-// serial reference distribution — scheduling and memory strategy must be
-// unobservable.
+// serial reference distribution — scheduling and the table budget must
+// be unobservable.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "core/dp.hpp"
-#include "core/plan_cache.hpp"
 #include "core/planner.hpp"
 #include "core/recovery.hpp"
+#include "core/sharded_plan_cache.hpp"
 #include "model/cost_table.hpp"
 #include "model/testbed.hpp"
 #include "support/error.hpp"
@@ -114,21 +114,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DpVariantsTest,
 TEST(DivideConquer, MatchesChoiceTableBitwise) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
+  const long long p = platform.size();
   for (long long n : {0LL, 1LL, 17LL, 5'000LL, 20'000LL}) {
-    DpOptions table_opts = serial_options();
-    table_opts.memory = DpMemory::ChoiceTable;
-    DpOptions dc_opts = serial_options();
-    dc_opts.memory = DpMemory::DivideConquer;
+    // The default budget makes every one of these a single table pass.
+    auto reference = optimized_dp(platform, n, serial_options());
+    EXPECT_EQ(reference.cells_evaluated, (n + 1) + (p - 1) * n) << "n " << n;
 
-    auto reference = optimized_dp(platform, n, table_opts);
-    auto dc = optimized_dp(platform, n, dc_opts);
-    EXPECT_EQ(reference.distribution.counts, dc.distribution.counts) << "n " << n;
-    EXPECT_EQ(reference.cost, dc.cost) << "n " << n;
-
-    auto dc_parallel_opts = dc_opts;
-    dc_parallel_opts.threads = 0;
-    auto dc_parallel = optimized_dp(platform, n, dc_parallel_opts);
-    EXPECT_EQ(reference.distribution.counts, dc_parallel.distribution.counts);
+    for (std::size_t budget : {std::size_t{1}, std::size_t{1} << 20}) {
+      const bool recurses =
+          static_cast<std::size_t>(p - 1) * static_cast<std::size_t>(n + 1) * 4 > budget;
+      for (int threads : {1, 3, 0}) {
+        DpOptions dc_opts;
+        dc_opts.threads = threads;
+        dc_opts.dc_table_bytes = budget;
+        auto dc = optimized_dp(platform, n, dc_opts);
+        SCOPED_TRACE("n " + std::to_string(n) + " budget " + std::to_string(budget) +
+                     " threads " + std::to_string(threads));
+        EXPECT_EQ(reference.distribution.counts, dc.distribution.counts);
+        EXPECT_EQ(reference.cost, dc.cost);
+        // Recursion re-sweeps columns, and cells_evaluated says so.
+        if (recurses) {
+          EXPECT_GT(dc.cells_evaluated, reference.cells_evaluated);
+        } else {
+          EXPECT_EQ(dc.cells_evaluated, reference.cells_evaluated);
+        }
+      }
+    }
   }
 }
 
@@ -136,7 +147,7 @@ TEST(DivideConquer, ExactDpMatchesToo) {
   support::Rng rng(99);
   auto platform = random_increasing_platform(rng, 5, 500);
   DpOptions dc_opts;
-  dc_opts.memory = DpMemory::DivideConquer;
+  dc_opts.dc_table_bytes = 1;
   auto reference = exact_dp(platform, 500, serial_options());
   auto dc = exact_dp(platform, 500, dc_opts);
   EXPECT_EQ(reference.distribution.counts, dc.distribution.counts);
@@ -151,10 +162,18 @@ TEST(DivideConquer, SingleProcessorAndTinyPlatforms) {
   proc.comp = model::Cost::linear(2.0);
   one.processors.push_back(proc);
   DpOptions dc_opts;
-  dc_opts.memory = DpMemory::DivideConquer;
+  dc_opts.dc_table_bytes = 1;
   auto result = optimized_dp(one, 9, dc_opts);
   EXPECT_EQ(result.distribution.counts, (std::vector<long long>{9}));
   EXPECT_DOUBLE_EQ(result.cost, 18.0);
+
+  // Past the int32 choice-table range a lone processor still solves: it
+  // takes every item, evaluated as one cell.
+  const long long huge = static_cast<long long>(std::numeric_limits<std::int32_t>::max()) + 1;
+  auto beyond = optimized_dp(one, huge);
+  EXPECT_EQ(beyond.distribution.counts, (std::vector<long long>{huge}));
+  EXPECT_EQ(beyond.cost, proc.comp(huge));
+  EXPECT_EQ(beyond.cells_evaluated, 1);
 }
 
 TEST(CostTable, RowsMatchCostFunctionsAndDpAgrees) {
@@ -197,19 +216,10 @@ TEST(CostTable, MismatchedPlatformIsRejected) {
   EXPECT_THROW(optimized_dp(platform, 101, with_table), Error);
 }
 
-TEST(ChoiceTable, RejectsItemsBeyondInt32) {
+TEST(OneShardCache, HitsRepeatPlansAndTracksStats) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
-  DpOptions options;
-  options.memory = DpMemory::ChoiceTable;
-  long long too_many = static_cast<long long>(std::numeric_limits<std::int32_t>::max()) + 1;
-  EXPECT_THROW(optimized_dp(platform, too_many, options), Error);
-}
-
-TEST(PlanCache, HitsRepeatPlansAndTracksStats) {
-  auto grid = model::paper_testbed();
-  auto platform = make_platform(grid, model::paper_root(grid));
-  PlanCache cache(8);
+  ShardedPlanCache cache(1, 8);
 
   auto first = cache.plan(platform, 4321);
   auto second = cache.plan(platform, 4321);
@@ -231,8 +241,8 @@ TEST(PlanCache, HitsRepeatPlansAndTracksStats) {
   EXPECT_EQ(stats.misses, 3u);
 }
 
-TEST(PlanCache, DistinguishesPlatformsByCostStructure) {
-  PlanCache cache(8);
+TEST(OneShardCache, DistinguishesPlatformsByCostStructure) {
+  ShardedPlanCache cache(1, 8);
   model::Platform a;
   model::Platform b;
   for (int i = 0; i < 3; ++i) {
@@ -255,10 +265,10 @@ TEST(PlanCache, DistinguishesPlatformsByCostStructure) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(PlanCache, EvictsLeastRecentlyUsed) {
+TEST(OneShardCache, EvictsLeastRecentlyUsed) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
-  PlanCache cache(2);
+  ShardedPlanCache cache(1, 2);
   cache.plan(platform, 100);  // miss -> [100]
   cache.plan(platform, 200);  // miss -> [200, 100]
   cache.plan(platform, 100);  // hit  -> [100, 200]
@@ -279,7 +289,7 @@ TEST(PlanCache, EvictsLeastRecentlyUsed) {
 TEST(PlanScatter, CacheOptionIsTransparent) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
-  PlanCache cache(4);
+  ShardedPlanCache cache(1, 4);
   PlannerOptions options;
   options.cache = &cache;
   auto cached1 = plan_scatter(platform, 7777, options);

@@ -30,15 +30,20 @@ model::Platform platform_for(int seed) {
   return platform;
 }
 
+// The key for a 1000-item Auto plan of `platform`.
+PlanKey key_for(const model::Platform& platform, long long items = 1000) {
+  return make_plan_key(platform, items, Algorithm::Auto);
+}
+
 TEST(ShardedPlanCache, HitAfterInsert) {
   ShardedPlanCache cache(4, 8);
   auto platform = platform_for(0);
-  EXPECT_FALSE(cache.lookup(platform, 1000, Algorithm::Auto).has_value());
+  EXPECT_FALSE(cache.lookup(key_for(platform)).has_value());
 
   auto plan = plan_scatter(platform, 1000);
-  cache.insert(platform, 1000, Algorithm::Auto, plan);
+  cache.insert(key_for(platform), plan);
 
-  auto hit = cache.lookup(platform, 1000, Algorithm::Auto);
+  auto hit = cache.lookup(key_for(platform));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->distribution.counts, plan.distribution.counts);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -46,11 +51,11 @@ TEST(ShardedPlanCache, HitAfterInsert) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// The load-bearing equivalence: replaying one request log through the
-// old single-mutex PlanCache and the sharded cache yields bit-identical
-// plans at every step.
+// The load-bearing equivalence: replaying one request log through a
+// one-shard cache (a single-mutex LRU) and an eight-shard cache yields
+// bit-identical plans at every step.
 TEST(ShardedPlanCache, BitIdenticalToPlanCacheOnReplayedLog) {
-  PlanCache flat(64);
+  ShardedPlanCache flat(1, 64);
   ShardedPlanCache sharded(8, 8);  // same total capacity
 
   // A log with repeats: 40 distinct keys, each requested three times,
@@ -133,16 +138,16 @@ TEST(ShardedPlanCache, LookupRefreshesLruRecency) {
   auto a = platform_for(1);
   auto b = platform_for(2);
   auto c = platform_for(3);
-  cache.insert(a, 100, Algorithm::Auto, plan_scatter(a, 100));
-  cache.insert(b, 100, Algorithm::Auto, plan_scatter(b, 100));
+  cache.insert(key_for(a, 100), plan_scatter(a, 100));
+  cache.insert(key_for(b, 100), plan_scatter(b, 100));
 
   // Touch `a`, making `b` the LRU victim when `c` arrives.
-  EXPECT_TRUE(cache.lookup(a, 100, Algorithm::Auto).has_value());
-  cache.insert(c, 100, Algorithm::Auto, plan_scatter(c, 100));
+  EXPECT_TRUE(cache.lookup(key_for(a, 100)).has_value());
+  cache.insert(key_for(c, 100), plan_scatter(c, 100));
 
-  EXPECT_TRUE(cache.lookup(a, 100, Algorithm::Auto).has_value());
-  EXPECT_FALSE(cache.lookup(b, 100, Algorithm::Auto).has_value());
-  EXPECT_TRUE(cache.lookup(c, 100, Algorithm::Auto).has_value());
+  EXPECT_TRUE(cache.lookup(key_for(a, 100)).has_value());
+  EXPECT_FALSE(cache.lookup(key_for(b, 100)).has_value());
+  EXPECT_TRUE(cache.lookup(key_for(c, 100)).has_value());
 }
 
 TEST(ShardedPlanCache, CrossShardMetrics) {
@@ -171,7 +176,7 @@ TEST(ShardedPlanCache, WorksAsPlannerCacheViaBasePointer) {
   auto platform = platform_for(7);
 
   PlannerOptions options;
-  options.cache = &cache;  // through PlanCacheBase*
+  options.cache = &cache;
   auto first = plan_scatter(platform, 5000, options);
   auto second = plan_scatter(platform, 5000, options);
   EXPECT_EQ(first.distribution.counts, second.distribution.counts);
@@ -188,17 +193,17 @@ TEST(ShardedPlanCache, ConcurrentClientsAreRaceFree) {
 
   // Pre-plan everything serially so worker threads only exercise the
   // cache, not the planner.
-  std::vector<std::pair<model::Platform, ScatterPlan>> hot;
+  std::vector<std::pair<PlanKey, ScatterPlan>> hot;
   for (int seed = 0; seed < 4; ++seed) {
     auto platform = platform_for(seed);
-    hot.push_back({platform, plan_scatter(platform, 1000)});
+    hot.push_back({key_for(platform), plan_scatter(platform, 1000)});
   }
-  std::vector<std::vector<std::pair<model::Platform, ScatterPlan>>> cold(kThreads);
+  std::vector<std::vector<std::pair<PlanKey, ScatterPlan>>> cold(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < 8; ++i) {
       auto platform = platform_for(100 + t * 8 + i);
       cold[static_cast<std::size_t>(t)].push_back(
-          {platform, plan_scatter(platform, 1000)});
+          {key_for(platform), plan_scatter(platform, 1000)});
     }
   }
 
@@ -207,16 +212,16 @@ TEST(ShardedPlanCache, ConcurrentClientsAreRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIterations; ++i) {
-        const auto& [hot_platform, hot_plan] = hot[static_cast<std::size_t>(i % 4)];
-        if (i == 0) cache.insert(hot_platform, 1000, Algorithm::Auto, hot_plan);
-        auto got = cache.lookup(hot_platform, 1000, Algorithm::Auto);
+        const auto& [hot_key, hot_plan] = hot[static_cast<std::size_t>(i % 4)];
+        if (i == 0) cache.insert(hot_key, hot_plan);
+        auto got = cache.lookup(hot_key);
         if (got && got->distribution.counts != hot_plan.distribution.counts) {
           wrong.fetch_add(1);
         }
-        const auto& [cold_platform, cold_plan] =
+        const auto& [cold_key, cold_plan] =
             cold[static_cast<std::size_t>(t)][static_cast<std::size_t>(i % 8)];
-        cache.insert(cold_platform, 1000, Algorithm::Auto, cold_plan);
-        auto mine = cache.lookup(cold_platform, 1000, Algorithm::Auto);
+        cache.insert(cold_key, cold_plan);
+        auto mine = cache.lookup(cold_key);
         if (mine && mine->distribution.counts != cold_plan.distribution.counts) {
           wrong.fetch_add(1);
         }

@@ -1,8 +1,8 @@
 // Metrics-layer tests: counter/histogram semantics, snapshot formats, and
-// the PlanCache's hit/miss/eviction accounting — exact under LRU churn,
-// consistent under concurrent plan_scatter callers (the TSan CI job runs
-// this suite), and mirrored one-to-one by cache.hit/cache.miss trace
-// instants. Also covers the planner/DP counters and the mq runtime's
+// the one-shard plan cache's hit/miss/eviction accounting — exact under
+// LRU churn, consistent under concurrent plan_scatter callers (the TSan CI
+// job runs this suite), and mirrored one-to-one by cache.hit/cache.miss
+// trace instants. Also covers the planner/DP counters and the mq runtime's
 // per-link byte and port-occupancy metrics.
 
 #include <gtest/gtest.h>
@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/plan_cache.hpp"
 #include "core/planner.hpp"
+#include "core/sharded_plan_cache.hpp"
 #include "model/platform.hpp"
 #include "mq/platform_link.hpp"
 #include "mq/runtime.hpp"
@@ -102,7 +102,7 @@ TEST(Metrics, SnapshotsListEveryMetricByName) {
 
 TEST(PlanCacheMetrics, HitsMissesAndEvictionsAreExact) {
   auto platform = tiny_platform();
-  core::PlanCache cache(2);
+  core::ShardedPlanCache cache(1, 2);
   obs::Metrics metrics;
   obs::Tracer tracer;
   cache.set_metrics(&metrics);
@@ -123,6 +123,8 @@ TEST(PlanCacheMetrics, HitsMissesAndEvictionsAreExact) {
   EXPECT_EQ(metrics.counter("plan_cache.hits").value(), stats.hits);
   EXPECT_EQ(metrics.counter("plan_cache.misses").value(), stats.misses);
   EXPECT_EQ(metrics.counter("plan_cache.evictions").value(), stats.evictions);
+  // One shard publishes only the totals, no per-shard repeats of them.
+  EXPECT_EQ(metrics.text_snapshot().find("plan_cache.shard"), std::string::npos);
 
   // The trace mirrors every probe as an instant carrying the item count.
   auto log = tracer.collect();
@@ -139,7 +141,7 @@ TEST(PlanCacheMetrics, HitsMissesAndEvictionsAreExact) {
 TEST(PlanCacheMetrics, ChurnMatchesAReferenceLruExactly) {
   auto platform = tiny_platform();
   constexpr std::size_t kCapacity = 4;
-  core::PlanCache cache(kCapacity);
+  core::ShardedPlanCache cache(1, kCapacity);
   obs::Metrics metrics;
   cache.set_metrics(&metrics);
 
@@ -180,7 +182,7 @@ TEST(PlanCacheMetrics, ChurnMatchesAReferenceLruExactly) {
 
 TEST(PlanCacheMetrics, ConcurrentPlanScatterCallersStayConsistent) {
   auto platform = tiny_platform();
-  core::PlanCache cache(64);
+  core::ShardedPlanCache cache(1, 64);
   obs::Metrics metrics;
   obs::Tracer tracer;
   cache.set_metrics(&metrics);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -216,6 +217,50 @@ TEST(ServiceServer, AdmissionControlAnswersError) {
   EXPECT_EQ(too_wide.status, PlanStatus::Error);
   EXPECT_NE(too_wide.message.find("max_processors"), std::string::npos);
   EXPECT_EQ(server.counters().errors, 2u);
+  server.stop();
+}
+
+// Whether a multi-terabyte allocation would abort or overcommit instead of
+// throwing std::bad_alloc: ASan and TSan allocators abort on oversized
+// requests by default, and vm.overcommit_memory = 1 hands the memory out
+// and lets the zero-fill run into the OOM killer.
+bool huge_allocations_do_not_throw() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#else
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#endif
+#endif
+  std::ifstream overcommit("/proc/sys/vm/overcommit_memory");
+  int mode = 0;
+  return overcommit >> mode && mode == 1;
+#endif
+}
+
+// Admission bounds the request, not the solve: n = 2^40 is exactly the
+// default max_items, so it is admitted, and the DP's O(n)-double column
+// cannot be allocated. The solve must answer Error, count it, and leave
+// the daemon serving.
+TEST(ServiceServer, AdmittedOversizedSolveAnswersErrorAndServes) {
+  if (huge_allocations_do_not_throw()) {
+    GTEST_SKIP() << "a 2^40-item allocation would not throw std::bad_alloc here";
+  }
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  Server server(options);
+  server.start();
+
+  Client client(options.socket_path);
+  PlanResponse huge =
+      client.plan(paper_platform(), options.max_items, core::Algorithm::OptimizedDp);
+  EXPECT_EQ(huge.status, PlanStatus::Error);
+  EXPECT_FALSE(huge.message.empty());
+  EXPECT_EQ(server.counters().errors, 1u);
+
+  PlanResponse ok = client.plan(paper_platform(), 10000, core::Algorithm::OptimizedDp);
+  EXPECT_EQ(ok.status, PlanStatus::Ok);
   server.stop();
 }
 
