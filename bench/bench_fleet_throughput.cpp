@@ -125,17 +125,14 @@ double wall_seconds() {
 // request's latency to stdout as a raw little-endian f64 (seconds).
 // Exit 0 iff every request returned Ok. The optional view file seeds the
 // client with a VERSIONED membership (the reshard phase needs workers to
-// carry a real epoch so WrongEpoch redirects can move them); no watcher
-// runs — mid-run epochs arrive purely over the wire.
+// carry a real epoch so WrongEpoch redirects can move them); mid-run
+// epochs arrive purely over the wire.
 int run_worker(const std::string& endpoints, int requests, int worker_id,
                const std::string& view_path) {
   service::FleetOptions options;
   options.replicas = service::parse_endpoint_list(endpoints);
-  options.client.request_timeout_ms = 30000;
-  if (!view_path.empty()) {
-    options.membership_path = view_path;
-    options.membership_poll_ms = 0;  // one initial read, no polling
-  }
+  options.request_timeout_ms = 30000;
+  if (!view_path.empty()) options.view = service::read_view_file(view_path);
   service::FleetClient fleet(options);
 
   std::vector<double> latencies;

@@ -16,8 +16,9 @@
 //
 // `plan` is lbsplan's remote twin: same grid config, same output columns,
 // but the counts come from the shared daemon — warmed caches and
-// coalesced solves included. Rejected (backpressure) responses are
-// retried with the server's retry_after_ms hint unless --no-retry.
+// coalesced solves included. It always plans through a FleetClient (one
+// replica or many), which retries Rejected (backpressure) responses with
+// the server's retry_after_ms hint unless --no-retry.
 //
 // The membership verbs drive fleet elasticity (docs/service.md#elasticity):
 //
@@ -30,7 +31,8 @@
 //   remove <endpoint>     drop the target from the view entirely
 //
 // With --membership FILE the resulting view is also written to FILE
-// (atomic rename), which converges every daemon/client watching it.
+// (atomic rename): the file a daemon restarted with `lbsd --membership
+// FILE` reads to rejoin at the fleet's current epoch.
 
 #include <cstdlib>
 #include <cstring>
@@ -169,7 +171,7 @@ int run_plan(std::vector<service::Endpoint> replicas, int argc, char** argv) {
       return 1;
     case service::PlanStatus::WrongEpoch:
       // FleetClient follows redirects itself; seeing this means the fleet
-      // membership churned faster than max_redirects could chase.
+      // membership churned faster than its redirect budget could chase.
       std::cerr << "membership epoch churn: " << response.message << '\n';
       return 1;
   }

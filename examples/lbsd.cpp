@@ -28,11 +28,9 @@
 //   --warm-start FILE   replay a snapshot into the cache before serving;
 //                       a corrupt/missing file logs and cold-starts
 //   --membership FILE   adopt the fleet membership view from FILE at
-//                       startup and watch it for changes (newer epoch
-//                       wins; see docs/service.md#elasticity)
-//   --membership-poll-ms MS
-//                       membership file poll cadence (default 200;
-//                       0 reads the file at startup and never watches it)
+//                       startup, so a cold restart rejoins at the fleet's
+//                       epoch; later views arrive as MembershipUpdate
+//                       frames (see docs/service.md#elasticity)
 //
 // `--snapshot S --warm-start S` is the crash-safe restart idiom: every
 // run resumes from the previous run's cache.
@@ -65,7 +63,7 @@ int usage() {
                " [--workers N] [--queue N] [--batch N] [--retry-after MS]"
                " [--max-processors N] [--trace FILE] [--snapshot FILE]"
                " [--snapshot-interval-ms MS] [--warm-start FILE]"
-               " [--membership FILE] [--membership-poll-ms MS]\n"
+               " [--membership FILE]\n"
                "  <endpoint>: unix path, unix:PATH, tcp:HOST:PORT, or HOST:PORT"
                " (omit it when --tcp is given)\n";
   return 2;
@@ -121,11 +119,6 @@ int main(int argc, char** argv) {
       options.warm_start_path = argv[++i];
     } else if (arg == "--membership" && i + 1 < argc) {
       options.membership_path = argv[++i];
-    } else if (arg == "--membership-poll-ms" && i + 1 < argc) {
-      // 0 is meaningful here: read the view at start, never watch it.
-      value = std::atoi(argv[++i]);
-      if (value < 0) return usage();
-      options.membership_poll_ms = static_cast<std::uint32_t>(value);
     } else {
       return usage();
     }

@@ -13,6 +13,7 @@
 // as a utility. Run without arguments for a demo on the paper's testbed.
 
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -58,9 +59,7 @@ bool parse_ordering(const std::string& name, core::OrderingPolicy& policy) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   model::Grid grid = model::paper_testbed();
   long long items = model::kPaperRayCount;
   core::Algorithm algorithm = core::Algorithm::Auto;
@@ -156,4 +155,15 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\npass counts[] and displs[] straight to MPI_Scatterv (root last).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "lbsplan: " << error.what() << '\n';
+    return 1;
+  }
 }

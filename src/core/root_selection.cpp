@@ -15,7 +15,14 @@ RootSelectionResult select_root(const model::Grid& grid, long long items,
   LBS_CHECK_MSG(grid.data_home() >= 0, "grid has no data_home");
   RootSelectionResult result;
 
+  const int machines = static_cast<int>(grid.machines().size());
   for (const auto& candidate : grid.all_processors()) {
+    bool linked = true;
+    for (int m = 0; m < machines && linked; ++m) {
+      linked = grid.has_link(candidate.machine, m);
+    }
+    if (!linked) continue;
+
     RootCandidate entry;
     entry.root = candidate;
     entry.label = grid.processor_label(candidate);
@@ -32,6 +39,8 @@ RootSelectionResult select_root(const model::Grid& grid, long long items,
     }
     result.candidates.push_back(std::move(entry));
   }
+  LBS_CHECK_MSG(!result.candidates.empty(),
+                "root selection: no processor has a link to every machine");
   return result;
 }
 

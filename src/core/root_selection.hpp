@@ -24,16 +24,21 @@ struct RootCandidate {
 };
 
 struct RootSelectionResult {
-  std::vector<RootCandidate> candidates;  // one per processor, grid order
+  std::vector<RootCandidate> candidates;  // eligible processors, grid order
   int best_index = -1;
 
   [[nodiscard]] const RootCandidate& best() const;
 };
 
-// Evaluates every processor as a candidate root. The platform for each
-// candidate is ordered with `policy` (descending bandwidth by default,
-// per Section 4.4), and distributions are planned with `algorithm`.
-// Requires grid.data_home() >= 0.
+// Evaluates every eligible processor as a candidate root. A processor is
+// eligible when the grid defines a link from its machine to every
+// machine: the staging link from the data home and the scatter links to
+// each processor. A config may omit links it never measured (the paper's
+// testbed only has dinadan's); such candidates are skipped, not
+// evaluated. The platform for each candidate is ordered with `policy`
+// (descending bandwidth by default, per Section 4.4), and distributions
+// are planned with `algorithm`. Requires grid.data_home() >= 0; throws
+// lbs::Error when no processor is eligible.
 RootSelectionResult select_root(const model::Grid& grid, long long items,
                                 OrderingPolicy policy = OrderingPolicy::DescendingBandwidth,
                                 Algorithm algorithm = Algorithm::Auto);

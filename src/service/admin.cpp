@@ -13,7 +13,6 @@ ClientOptions control_options(const Endpoint& target, std::uint32_t timeout_ms) 
   ClientOptions options;
   options.endpoint = target;
   options.control_timeout_ms = timeout_ms;
-  options.breaker_threshold = 0;  // one-shot dial; no breaker state to keep
   return options;
 }
 

@@ -30,8 +30,8 @@
 // Every push is one MembershipUpdate round-trip (adopt-iff-newer +
 // MembershipAck), so replaying any of these against a fleet that already
 // converged is a no-op. Unreachable members are recorded, not fatal:
-// convergence is finished by WrongEpoch redirects and the membership
-// file — the broadcast is an accelerant, not a requirement.
+// convergence is finished by WrongEpoch redirects — the broadcast is an
+// accelerant, not a requirement.
 #pragma once
 
 #include <cstdint>

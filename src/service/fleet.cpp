@@ -1,7 +1,10 @@
 #include "service/fleet.hpp"
 
-#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "core/plan_cache.hpp"
@@ -13,18 +16,81 @@ namespace lbs::service {
 
 namespace {
 
+// How many WrongEpoch redirects one plan() call may follow. Each one
+// adopts a strictly newer view, so this bounds pathological churn, not
+// the normal case (one reshard = one redirect).
+constexpr int kMaxRedirects = 3;
+// The backoff schedule's floor when the server sends no hint.
+constexpr std::uint32_t kBackoffBaseMs = 1;
+// Threads per in-process fallback solve.
+constexpr int kFallbackDpThreads = 1;
+
 bool is_transport_failure(PlanStatus status) {
   return status == PlanStatus::Disconnected || status == PlanStatus::Timeout ||
          status == PlanStatus::BreakerOpen;
 }
 
+std::uint64_t derive_jitter_seed(const void* self) {
+  // Mix the client's address with the steady clock: two clients in one
+  // process differ by address, two processes by clock. Reproducible runs
+  // set FleetOptions::jitter_seed explicitly instead.
+  std::uint64_t seed = reinterpret_cast<std::uintptr_t>(self);
+  seed ^= static_cast<std::uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count());
+  seed ^= static_cast<std::uint64_t>(::getpid()) << 32;
+  return seed != 0 ? seed : 0x9e3779b97f4a7c15ULL;
+}
+
+// The local fallback: plan_scatter in process, answered as an Ok response
+// flagged local_fallback with `reason` as its message. A planner failure
+// — an lbs::Error or any other std::exception, such as std::bad_alloc on
+// an oversized request — becomes an Error response instead.
+PlanResponse plan_locally(const model::Platform& platform, long long items,
+                          core::Algorithm algorithm, const std::string& reason) {
+  PlanResponse response;
+  try {
+    core::PlannerOptions planner_options;
+    planner_options.algorithm = algorithm;
+    planner_options.dp.threads = kFallbackDpThreads;
+    response = plan_response(core::plan_scatter(platform, items, planner_options));
+    response.local_fallback = true;
+    response.message = reason;
+  } catch (const std::exception& error) {
+    response.status = PlanStatus::Error;
+    response.message = error.what();
+  }
+  return response;
+}
+
 }  // namespace
 
+std::uint32_t backoff_with_jitter(std::uint32_t hint_ms, int attempt,
+                                  std::uint32_t base_ms, std::uint32_t cap_ms,
+                                  support::Rng& rng) {
+  std::uint64_t base = std::max<std::uint64_t>(std::max(hint_ms, base_ms), 1);
+  std::uint64_t cap = std::max<std::uint64_t>(cap_ms, 1);
+  // Saturating exponential: base << attempt, pinned at the cap so a long
+  // outage cannot overflow into a zero (or an hour-long) sleep.
+  for (int i = 0; i < attempt && base < cap; ++i) base <<= 1;
+  base = std::min(base, cap);
+  // ±50% jitter: uniform over [b/2, 3b/2], then re-capped. Without this,
+  // every client rejected by the same full queue sleeps the same hint and
+  // they all come back in lockstep — a retry storm with a metronome.
+  std::uint64_t lo = std::max<std::uint64_t>(base / 2, 1);
+  std::uint64_t hi = base + base / 2;
+  std::uint64_t jittered = static_cast<std::uint64_t>(
+      rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  return static_cast<std::uint32_t>(std::min(jittered, cap));
+}
+
 FleetClient::FleetClient(FleetOptions options)
-    : options_(std::move(options)), ring_(options_.virtual_nodes) {
+    : options_(std::move(options)),
+      rng_(options_.jitter_seed != 0 ? options_.jitter_seed
+                                     : derive_jitter_seed(this)) {
   LBS_CHECK_MSG(options_.retries_per_replica >= 0,
                 "retries_per_replica must be >= 0");
-  LBS_CHECK_MSG(options_.max_redirects >= 0, "max_redirects must be >= 0");
+  LBS_CHECK_MSG(options_.breaker_threshold >= 0,
+                "breaker_threshold must be >= 0 (0 disables)");
   metrics_ = options_.metrics != nullptr ? options_.metrics : &obs::global_metrics();
 
   MembershipView initial = options_.view;
@@ -36,38 +102,21 @@ FleetClient::FleetClient(FleetOptions options)
   }
   LBS_CHECK_MSG(!initial.members.empty(), "fleet needs at least one replica");
   validate_view(initial);  // rejects duplicates / invalid endpoints
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    view_ = std::move(initial);
-    install_view_locked();
-    LBS_CHECK_MSG(ring_.node_count() > 0,
-                  "fleet membership has no serving replica");
-  }
-
-  if (!options_.membership_path.empty()) {
-    try {
-      // Best effort: a missing file just means "start from the built-in
-      // view"; the watcher below picks it up once it appears.
-      apply_view(read_view_file(options_.membership_path));
-    } catch (const lbs::Error&) {
-    }
-    if (options_.membership_poll_ms > 0) {
-      watch_thread_ = std::thread([this] { membership_watch_loop(); });
-    }
-  }
+  std::lock_guard<std::mutex> lock(view_mu_);
+  view_ = std::move(initial);
+  install_view_locked();
+  LBS_CHECK_MSG(ring_.node_count() > 0, "fleet membership has no serving replica");
 }
 
 FleetClient::~FleetClient() { close(); }
 
 void FleetClient::install_view_locked() {
-  support::HashRing next(options_.virtual_nodes);
   for (const Member& member : view_.members) {
-    std::size_t idx = slot_for_locked(member.endpoint.to_string());
-    if (member.state == ReplicaState::Serving) {
-      next.add_node(slots_[idx]->endpoint.to_string());
-    }
+    (void)slot_for_locked(member.endpoint.to_string());
   }
-  ring_ = std::move(next);
+  // The same ring Server::entries_owned_by hands partitions off by, so a
+  // reshard warms exactly the replicas this client will route to.
+  ring_ = ring_of(view_);
 }
 
 std::size_t FleetClient::slot_for_locked(const std::string& spec) {
@@ -103,61 +152,95 @@ bool FleetClient::apply_view(const MembershipView& update) {
   return true;
 }
 
-void FleetClient::membership_watch_loop() {
-  // Re-read on any (mtime, size) change; adopt() dedups by epoch, so a
-  // rewrite of the same view is a no-op.
-  long long last_stamp = -2;
-  long long last_size = -2;
-  while (!watch_stop_.load(std::memory_order_acquire)) {
-    struct stat st{};
-    long long stamp = -1;
-    long long size = -1;
-    if (::stat(options_.membership_path.c_str(), &st) == 0) {
-      stamp = static_cast<long long>(st.st_mtim.tv_sec) * 1000000000LL +
-              st.st_mtim.tv_nsec;
-      size = static_cast<long long>(st.st_size);
-    }
-    if (stamp != last_stamp || size != last_size) {
-      last_stamp = stamp;
-      last_size = size;
-      if (stamp >= 0) {
-        try {
-          apply_view(read_view_file(options_.membership_path));
-        } catch (const lbs::Error&) {
-          metrics_->counter("service.fleet.file_rejected").add();
-        }
-      }
-    }
-    // Chunked sleep so close() never waits a full poll interval.
-    std::uint32_t remaining = options_.membership_poll_ms;
-    while (remaining > 0 && !watch_stop_.load(std::memory_order_acquire)) {
-      std::uint32_t chunk = remaining < 10 ? remaining : 10;
-      std::this_thread::sleep_for(std::chrono::milliseconds(chunk));
-      remaining -= chunk;
-    }
-  }
-}
-
-Client* FleetClient::ensure_client(Slot& slot) {
+std::shared_ptr<Client> FleetClient::connect(Slot& slot) {
+  std::shared_ptr<Client> stale;  // released after the lock
   std::lock_guard<std::mutex> lock(slot.mu);
-  if (slot.client != nullptr) return slot.client.get();
-  auto now = std::chrono::steady_clock::now();
-  if (now < slot.down_until) return nullptr;
+  if (slot.client != nullptr && slot.client->connected()) return slot.client;
+  if (closed_.load(std::memory_order_acquire)) return nullptr;  // never re-dial
 
-  ClientOptions client_options = options_.client;
+  ClientOptions client_options;
   client_options.endpoint = slot.endpoint;
-  client_options.socket_path.clear();
-  client_options.local_fallback = false;  // the fleet owns the fallback decision
+  client_options.request_timeout_ms = options_.request_timeout_ms;
+  client_options.control_timeout_ms = options_.control_timeout_ms;
   client_options.metrics = metrics_;
   try {
-    slot.client = std::make_unique<Client>(std::move(client_options));
+    stale = std::exchange(slot.client, std::make_shared<Client>(client_options));
   } catch (const lbs::Error&) {
-    slot.down_until =
-        now + std::chrono::milliseconds(options_.down_retry_ms);
     metrics_->counter("service.fleet.dial_failures").add();
     return nullptr;
   }
-  return slot.client.get();
+  if (stale != nullptr) metrics_->counter("service.fleet.reconnects").add();
+  return slot.client;
+}
+
+bool FleetClient::breaker_allows(Slot& slot) {
+  if (options_.breaker_threshold <= 0) return true;
+  std::lock_guard<std::mutex> lock(slot.mu);
+  // Past the cooldown the breaker is half-open: the attempt goes through
+  // and its outcome (record_outcome) closes the breaker or re-arms it.
+  return !slot.breaker_tripped ||
+         std::chrono::steady_clock::now() >= slot.tripped_until;
+}
+
+void FleetClient::record_outcome(Slot& slot, PlanStatus status) {
+  if (options_.breaker_threshold <= 0) return;
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (status != PlanStatus::Disconnected && status != PlanStatus::Timeout) {
+    // The replica spoke (Ok / Rejected / Error / WrongEpoch).
+    slot.consecutive_failures = 0;
+    slot.breaker_tripped = false;
+    return;
+  }
+  if (++slot.consecutive_failures < options_.breaker_threshold) return;
+  const TimePoint now = std::chrono::steady_clock::now();
+  if (!slot.breaker_tripped || now >= slot.tripped_until) {
+    // Newly opened, or a half-open trial just failed: re-arm.
+    metrics_->counter("service.fleet.breaker.opens").add();
+  }
+  slot.breaker_tripped = true;
+  slot.tripped_until = now + std::chrono::milliseconds(options_.breaker_cooldown_ms);
+}
+
+PlanResponse FleetClient::plan_on(Slot& slot, const model::Platform& platform,
+                                  long long items, core::Algorithm algorithm,
+                                  std::uint64_t epoch) {
+  PlanResponse response;
+  for (int attempt = 0;; ++attempt) {
+    if (!breaker_allows(slot)) {
+      metrics_->counter("service.fleet.breaker.fast_fails").add();
+      response = PlanResponse{};
+      response.status = PlanStatus::BreakerOpen;
+      response.message = "circuit breaker open: failing fast";
+      return response;
+    }
+    if (std::shared_ptr<Client> client = connect(slot)) {
+      client->set_epoch(epoch);
+      response = client->plan(platform, items, algorithm);
+    } else {
+      response = PlanResponse{};
+      response.status = PlanStatus::Disconnected;
+      response.message = "fleet: cannot reach " + slot.endpoint.to_string();
+    }
+    record_outcome(slot, response.status);
+    // WrongEpoch is conclusive here: this replica will keep redirecting
+    // until the caller re-rings from current_view and routes elsewhere.
+    if (response.status == PlanStatus::Ok || response.status == PlanStatus::Error ||
+        response.status == PlanStatus::WrongEpoch ||
+        attempt == options_.retries_per_replica) {
+      return response;
+    }
+    // Rejected (backpressure) or Disconnected/Timeout (transport): both
+    // retry after a jittered, capped, exponentially growing sleep. The
+    // server's retry_after_ms hint seeds the schedule when present.
+    std::uint32_t wait_ms;
+    {
+      std::lock_guard<std::mutex> lock(rng_mu_);
+      wait_ms = backoff_with_jitter(response.retry_after_ms, attempt, kBackoffBaseMs,
+                                    options_.backoff_cap_ms, rng_);
+    }
+    metrics_->counter("service.fleet.retry.attempts").add();
+    std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
+  }
 }
 
 PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
@@ -171,7 +254,7 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
   PlanResponse last;
   last.status = PlanStatus::Disconnected;
   last.message = "fleet: no replica reachable";
-  for (int redirect = 0; redirect <= options_.max_redirects; ++redirect) {
+  for (int redirect = 0; redirect <= kMaxRedirects; ++redirect) {
     // Snapshot the routing decision under the lock; the ring's node
     // strings must be copied because a concurrent apply_view may rebuild
     // the ring while we walk the candidates.
@@ -180,12 +263,8 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
     {
       std::lock_guard<std::mutex> lock(view_mu_);
       epoch = view_.epoch;
-      std::size_t attempts =
-          options_.route_attempts > 0
-              ? static_cast<std::size_t>(options_.route_attempts)
-              : ring_.node_count();
-      candidates.reserve(attempts);
-      for (const std::string* node : ring_.nodes_for(hash, attempts)) {
+      candidates.reserve(ring_.node_count());
+      for (const std::string* node : ring_.nodes_for(hash, ring_.node_count())) {
         candidates.push_back(*node);
       }
     }
@@ -203,36 +282,26 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
         slot = slots_[idx].get();
         served = served_[idx].get();
       }
-      Client* client = ensure_client(*slot);
-      if (client == nullptr) continue;  // down cooldown, or the dial just failed
-
-      client->set_epoch(epoch);
-      PlanResponse response;
-      bool gossiped = false;
-      for (;;) {
-        response = client->plan_with_retry(
-            platform, items, algorithm, options_.retries_per_replica);
-        if (response.status == PlanStatus::WrongEpoch && !gossiped &&
-            response.current_view.epoch != 0 &&
-            response.current_view.epoch < epoch) {
-          // The REPLICA is behind: the admin's pushes are sequential, so
-          // a client can learn epoch N+1 from one replica while another
-          // still holds N — and that laggard must not solve keys it no
-          // longer owns. Gossip our newer view (the replica's adopt runs
-          // its handoff pull before acking), then retry this candidate
-          // once with a warm cache waiting.
-          gossiped = true;
-          bool pushed = false;
+      PlanResponse response = plan_on(*slot, platform, items, algorithm, epoch);
+      if (response.status == PlanStatus::WrongEpoch &&
+          response.current_view.epoch != 0 && response.current_view.epoch < epoch) {
+        // The REPLICA is behind: the admin's pushes are sequential, so
+        // a client can learn epoch N+1 from one replica while another
+        // still holds N — and that laggard must not solve keys it no
+        // longer owns. Gossip our newer view (the replica's adopt runs
+        // its handoff pull before acking), then retry this candidate
+        // once with a warm cache waiting.
+        bool pushed = false;
+        if (std::shared_ptr<Client> client = connect(*slot)) {
           try {
             pushed = client->membership_exchange(membership_view()).has_value();
           } catch (const lbs::Error&) {
           }
-          if (pushed) {
-            metrics_->counter("service.fleet.view_pushes").add();
-            continue;
-          }
         }
-        break;
+        if (pushed) {
+          metrics_->counter("service.fleet.view_pushes").add();
+          response = plan_on(*slot, platform, items, algorithm, epoch);
+        }
       }
       if (response.status == PlanStatus::WrongEpoch) {
         // Never keep walking the candidate list after a WrongEpoch: the
@@ -242,7 +311,7 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
         // Either the redirect carries a newer view (adopt it), or a
         // concurrent thread already advanced view_ past our snapshot —
         // both mean the same thing: re-snapshot and re-route from the
-        // top, bounded by max_redirects.
+        // top, bounded by kMaxRedirects.
         (void)apply_view(response.current_view);
         redirected_.fetch_add(1, std::memory_order_relaxed);
         metrics_->counter("service.fleet.redirected").add();
@@ -274,8 +343,7 @@ PlanResponse FleetClient::plan(const model::Platform& platform, long long items,
   if (options_.local_fallback) {
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.fleet.fallbacks").add();
-    return plan_locally(platform, items, algorithm, options_.fallback_dp_threads,
-                        "fleet: all replicas failed");
+    return plan_locally(platform, items, algorithm, "fleet: all replicas failed");
   }
   exhausted_.fetch_add(1, std::memory_order_relaxed);
   metrics_->counter("service.fleet.exhausted").add();
@@ -298,17 +366,17 @@ FleetClient::Slot* FleetClient::slot_at(std::size_t replica) const {
 }
 
 bool FleetClient::ping(std::size_t replica) {
-  Client* client = ensure_client(*slot_at(replica));
+  std::shared_ptr<Client> client = connect(*slot_at(replica));
   return client != nullptr && client->ping();
 }
 
 std::string FleetClient::stats(std::size_t replica) {
-  Client* client = ensure_client(*slot_at(replica));
+  std::shared_ptr<Client> client = connect(*slot_at(replica));
   return client != nullptr ? client->server_stats() : std::string{};
 }
 
 bool FleetClient::shutdown_replica(std::size_t replica) {
-  Client* client = ensure_client(*slot_at(replica));
+  std::shared_ptr<Client> client = connect(*slot_at(replica));
   return client != nullptr && client->shutdown_server();
 }
 
@@ -334,13 +402,7 @@ FleetClient::Counters FleetClient::counters() const {
 }
 
 void FleetClient::close() {
-  {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    if (closed_) return;
-    closed_ = true;
-  }
-  watch_stop_.store(true, std::memory_order_release);
-  if (watch_thread_.joinable()) watch_thread_.join();
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
   std::size_t count = replica_count();
   for (std::size_t i = 0; i < count; ++i) {
     Slot* slot = slot_at(i);

@@ -1,4 +1,5 @@
-// FleetClient — consistent-hash routing over N lbsd replicas.
+// FleetClient — consistent-hash routing over N lbsd replicas, and the one
+// place that retries, backs off, trips breakers, re-dials and falls back.
 //
 // One lbsd is a single point of failure and a single cache; a fleet of
 // N replicas behind naive round-robin would be N duplicated caches (every
@@ -10,41 +11,47 @@
 // every client routes it to the same place. The same key → same replica
 // property is also what keeps request coalescing effective under a fleet:
 // k identical concurrent requests from many FleetClients still meet in
-// one replica's in-flight map and cost one dp.solve.
+// one replica's in-flight map and cost one dp.solve. A one-replica
+// FleetClient is the resilient client for a single daemon.
 //
 // Membership is LIVE (service/membership.hpp): the client holds a
 // versioned MembershipView and rebuilds its ring from the view's serving
 // members whenever a newer epoch arrives — from an explicit apply_view
-// (lbsctl, tests), from the watched membership file, or from a
-// WrongEpoch redirect: every plan request carries the client's epoch,
-// and a replica that knows a newer view answers with that view instead
-// of a plan. The client adopts it, re-rings, and re-routes — convergence
-// without restart, no matter which path the news took. Per-replica
+// (lbsctl, tests) or from a WrongEpoch redirect: every plan request
+// carries the client's epoch, and a replica that knows a newer view
+// answers with that view instead of a plan. The client adopts it,
+// re-rings, and re-routes — convergence without restart. Per-replica
 // breaker state survives resharding: slots are append-only and keyed by
 // endpoint, so a membership change never resets a breaker or a counter.
 //
-// Failure handling is layered:
-//   - each replica gets its own service::Client, with the per-connection
-//     deadline/backoff/circuit-breaker machinery from client.hpp;
-//   - when a replica's breaker is open, its dial fails, or a request
-//     comes back with a transport status (Disconnected / Timeout /
-//     BreakerOpen), the request REROUTES to the next distinct node on
-//     the ring — the deterministic failover order, so even failover
-//     traffic concentrates on one substitute replica and stays
-//     cacheable. A replica that refused a dial is marked down for
-//     down_retry_ms before the next dial attempt.
-//   - when every candidate replica fails at transport level and
-//     local_fallback is set, the plan degrades to the in-process
-//     planner (same engine, flagged local_fallback), exactly like the
-//     single-daemon client.
+// Failure handling, per candidate replica:
+//   - attempts: Rejected replies and transport failures (Disconnected /
+//     Timeout) retry after a jittered, capped, exponentially growing
+//     sleep seeded from the server's retry_after_ms hint, up to
+//     retries_per_replica times. Ok, Error and WrongEpoch end the loop.
+//   - circuit breaker: breaker_threshold consecutive transport failures
+//     (a refused dial included) open the replica's breaker; for
+//     breaker_cooldown_ms its attempts fail fast with BreakerOpen. After
+//     the cooldown an attempt goes through (half-open): success closes
+//     the breaker, failure re-arms the cooldown. 0 disables it.
+//   - re-dial: a replica whose connection died is dialed afresh on its
+//     next attempt.
+//   - failover: a candidate that ends in a transport status
+//     (Disconnected / Timeout / BreakerOpen) REROUTES the request to the
+//     next distinct node on the ring — the deterministic failover order,
+//     so even failover traffic concentrates on one substitute replica
+//     and stays cacheable.
+//   - fallback: when every candidate fails at transport level and
+//     local_fallback is set, the plan degrades to the in-process planner
+//     (same engine, flagged local_fallback).
 //
-// Rejected (backpressure) is NOT rerouted by default: the home replica is
-// alive, merely saturated; spilling its keys onto neighbors would melt
-// the partition exactly when the fleet is hottest. It is counted in its
-// own bucket (Counters::rejected), never as a reroute.
+// Rejected (backpressure) is NOT rerouted: the home replica is alive,
+// merely saturated; spilling its keys onto neighbors would melt the
+// partition exactly when the fleet is hottest. It is counted in its own
+// bucket (Counters::rejected), never as a reroute.
 //
 // Thread-safe: many threads may call plan() concurrently; per-replica
-// clients are created on first use under a per-slot mutex.
+// connections are dialed on first use under a per-slot mutex.
 #pragma once
 
 #include <atomic>
@@ -53,7 +60,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +67,7 @@
 #include "service/membership.hpp"
 #include "service/socket.hpp"
 #include "support/hash_ring.hpp"
+#include "support/rng.hpp"
 
 namespace lbs::service {
 
@@ -71,52 +78,50 @@ struct FleetOptions {
   // distinct endpoints unless `view` supplies the membership instead.
   std::vector<Endpoint> replicas;
 
-  // Explicit initial membership view. When its member list is empty the
-  // view is synthesized from `replicas` (all serving, epoch 0 — the
-  // unversioned pre-elasticity fleet). A nonzero epoch makes every plan
-  // request carry it, enabling WrongEpoch redirects.
+  // Explicit initial membership view (for instance read_view_file of the
+  // fleet's view file). When its member list is empty the view is
+  // synthesized from `replicas` (all serving, epoch 0 — the unversioned
+  // pre-elasticity fleet). A nonzero epoch makes every plan request
+  // carry it, enabling WrongEpoch redirects.
   MembershipView view;
 
-  // A membership view file to adopt at construction and watch by mtime
-  // (poll interval below; 0 disables watching). Same convergence rule as
-  // every other path: newer epoch wins.
-  std::string membership_path;
-  std::uint32_t membership_poll_ms = 200;
+  // Per-replica connection deadlines (ClientOptions semantics). 0: none.
+  std::uint32_t request_timeout_ms = 0;
+  std::uint32_t control_timeout_ms = 0;
 
-  // Ring geometry (support::HashRing).
-  int virtual_nodes = 128;
+  // Per-replica circuit breaker: this many *consecutive* transport
+  // failures open it for breaker_cooldown_ms (0 disables the breaker).
+  int breaker_threshold = 5;
+  std::uint32_t breaker_cooldown_ms = 1000;
 
-  // Template for every per-replica connection: deadlines, backoff,
-  // breaker. endpoint/socket_path are overwritten per replica, and
-  // local_fallback is forced off (the fleet owns the fallback decision).
-  ClientOptions client;
-
-  // plan_with_retry budget per replica attempt. Small on purpose: a
-  // replica that fails this many consecutive transports is better served
+  // Retries per candidate replica after its first attempt. Small on
+  // purpose: a replica that keeps failing its transport is better served
   // by rerouting than by more patience.
   int retries_per_replica = 2;
 
-  // How many distinct ring nodes to try before giving up. 0 = all.
-  int route_attempts = 0;
+  // Retry sleeps never exceed this (backoff_with_jitter's cap).
+  std::uint32_t backoff_cap_ms = 2000;
 
-  // How many WrongEpoch redirects one plan() call may follow. Each one
-  // adopts a strictly newer view, so this bounds pathological churn, not
-  // the normal case (one reshard = one redirect).
-  int max_redirects = 3;
-
-  // A replica whose dial failed is not re-dialed for this long; requests
-  // reroute past it meanwhile.
-  std::uint32_t down_retry_ms = 200;
+  // Seed for the backoff jitter stream. 0: derive a per-client seed (two
+  // clients must not jitter in lockstep — that is the bug jitter fixes).
+  std::uint64_t jitter_seed = 0;
 
   // After every candidate fails at transport level: plan in-process
   // (core::plan_scatter) instead of returning the typed failure.
   bool local_fallback = false;
-  int fallback_dp_threads = 1;
 
-  // service.fleet.* counters/histograms; null falls back to
+  // service.fleet.* and service.client.* counters; null falls back to
   // obs::global_metrics().
   obs::Metrics* metrics = nullptr;
 };
+
+// The retry sleep schedule, exposed for tests: exponential in `attempt`
+// (0-based) from max(hint_ms, base_ms), capped at cap_ms, then jittered
+// uniformly over [½·b, 3⁄2·b]. Always returns >= 1.
+[[nodiscard]] std::uint32_t backoff_with_jitter(std::uint32_t hint_ms, int attempt,
+                                                std::uint32_t base_ms,
+                                                std::uint32_t cap_ms,
+                                                support::Rng& rng);
 
 class FleetClient {
  public:
@@ -143,7 +148,8 @@ class FleetClient {
                                          core::Algorithm::Auto) const;
 
   // Control-plane helpers addressed by replica index. ping returns false
-  // (and stats empty) when the replica cannot be reached.
+  // (and stats empty) when the replica cannot be reached. They neither
+  // consult nor feed the breaker.
   [[nodiscard]] bool ping(std::size_t replica);
   [[nodiscard]] std::string stats(std::size_t replica);
   bool shutdown_replica(std::size_t replica);
@@ -171,20 +177,30 @@ class FleetClient {
   [[nodiscard]] const FleetOptions& options() const { return options_; }
   [[nodiscard]] std::size_t replica_count() const;
 
-  // Closes every per-replica connection and stops the watcher. Terminal.
+  // Closes every per-replica connection. Terminal.
   void close();
 
  private:
+  using TimePoint = std::chrono::steady_clock::time_point;
   struct Slot {
     Endpoint endpoint;
-    std::mutex mu;  // guards client creation/teardown and down_until
-    std::unique_ptr<Client> client;
-    std::chrono::steady_clock::time_point down_until{};
+    std::mutex mu;  // guards client and the breaker state below
+    // Shared so a re-dial never frees a Client another thread still uses.
+    std::shared_ptr<Client> client;
+    int consecutive_failures = 0;
+    bool breaker_tripped = false;
+    TimePoint tripped_until{};
   };
 
-  // Dials if needed; nullptr while the replica is marked down or the dial
-  // fails (which arms down_until).
-  [[nodiscard]] Client* ensure_client(Slot& slot);
+  // The live connection to the slot's replica, dialed afresh when there
+  // is none or it died; nullptr when the dial fails or after close().
+  [[nodiscard]] std::shared_ptr<Client> connect(Slot& slot);
+  // The attempt loop against one replica (see the file header).
+  [[nodiscard]] PlanResponse plan_on(Slot& slot, const model::Platform& platform,
+                                     long long items, core::Algorithm algorithm,
+                                     std::uint64_t epoch);
+  [[nodiscard]] bool breaker_allows(Slot& slot);
+  void record_outcome(Slot& slot, PlanStatus status);
   // Bounds-checked slot lookup under view_mu_ (Slot objects are
   // heap-stable; the vector holding them is not).
   [[nodiscard]] Slot* slot_at(std::size_t replica) const;
@@ -193,7 +209,6 @@ class FleetClient {
   // Requires view_mu_.
   void install_view_locked();
   [[nodiscard]] std::size_t slot_for_locked(const std::string& spec);
-  void membership_watch_loop();
 
   FleetOptions options_;
   obs::Metrics* metrics_ = nullptr;
@@ -207,10 +222,10 @@ class FleetClient {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::unordered_map<std::string, std::size_t> slot_index_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> served_;
+  std::atomic<bool> closed_{false};
 
-  std::atomic<bool> watch_stop_{false};
-  std::thread watch_thread_;
-  bool closed_ = false;  // guarded by view_mu_
+  std::mutex rng_mu_;
+  support::Rng rng_;  // jitter stream, guarded by rng_mu_
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rerouted_{0};

@@ -18,14 +18,15 @@
 // join and the drain handoff fall out of that one rule plus the ring's
 // bounded-remap property (support/hash_ring.hpp).
 //
-// Views travel three ways, all equivalent: the text file format below
-// (the config-file watcher on lbsd/FleetClient), the MembershipUpdate /
-// MembershipAck wire frames (protocol.hpp), and inline in a WrongEpoch
-// plan response so a stale client learns the current view from the
-// rejection itself.
+// Views travel by the MembershipUpdate / MembershipAck wire frames
+// (protocol.hpp) and inline in a WrongEpoch plan response, so a stale
+// client learns the current view from the rejection itself. The text
+// file format below is read once at start (lbsd --membership, or a
+// FleetOptions::view seeded by read_view_file), so a cold restart
+// rejoins at the fleet's epoch; lbsctl writes it.
 //
 // File format — line-oriented, '#' comments, written atomically
-// (tmp + rename) so a watcher never reads a torn view:
+// (tmp + rename) so a reader never sees a torn view:
 //
 //   epoch 7
 //   serving tcp:10.0.0.1:4077
@@ -85,6 +86,8 @@ bool adopt(MembershipView& current, const MembershipView& update);
 
 // Ring over the Serving members only (node ids are canonical endpoint
 // specs). May be empty — callers decide whether that is an error.
+// FleetClient routes and Server hands partitions off by this one ring
+// (default geometry), so a reshard warms exactly where keys will go.
 [[nodiscard]] support::HashRing ring_of(const MembershipView& view,
                                         int virtual_nodes = 128);
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
@@ -101,17 +100,10 @@ void Server::start() {
     std::lock_guard lock(snapshot_wake_mu_);
     snapshot_stop_ = false;
   }
-  {
-    std::lock_guard lock(membership_wake_mu_);
-    membership_stop_ = false;
-  }
   accept_thread_ = std::thread(&Server::accept_loop, this);
   dispatch_thread_ = std::thread(&Server::dispatch_loop, this);
   if (!options_.snapshot_path.empty() && options_.snapshot_interval_ms > 0) {
     snapshot_thread_ = std::thread(&Server::snapshot_loop, this);
-  }
-  if (!options_.membership_path.empty() && options_.membership_poll_ms > 0) {
-    membership_thread_ = std::thread(&Server::membership_watch_loop, this);
   }
 }
 
@@ -124,12 +116,6 @@ void Server::stop() {
     snapshot_stop_ = true;
   }
   snapshot_wake_cv_.notify_all();
-  {
-    std::lock_guard lock(membership_wake_mu_);
-    membership_stop_ = true;
-  }
-  membership_wake_cv_.notify_all();
-  if (membership_thread_.joinable()) membership_thread_.join();
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard lock(connections_mu_);
@@ -378,43 +364,6 @@ std::size_t Server::pull_partition(const MembershipView& view,
   }
   close_fd(fd);
   return restored;
-}
-
-void Server::membership_watch_loop() {
-  const auto interval = std::chrono::milliseconds(options_.membership_poll_ms);
-  auto stamp_of = [this]() -> std::pair<long long, long long> {
-    struct ::stat st {};
-    if (::stat(options_.membership_path.c_str(), &st) != 0) return {-1, -1};
-    return {static_cast<long long>(st.st_mtim.tv_sec) * 1000000000LL +
-                st.st_mtim.tv_nsec,
-            static_cast<long long>(st.st_size)};
-  };
-  // Start "unknown" so the first poll re-reads the file: adopt() dedups
-  // by epoch, so the redundant read is one parse, not a flap.
-  std::pair<long long, long long> last{-2, -2};
-  std::unique_lock lock(membership_wake_mu_);
-  while (!membership_stop_) {
-    if (membership_wake_cv_.wait_for(lock, interval,
-                                     [this] { return membership_stop_; })) {
-      break;
-    }
-    lock.unlock();
-    const auto stamp = stamp_of();
-    if (stamp != last && stamp.first >= 0) {
-      last = stamp;
-      try {
-        (void)adopt_view(read_view_file(options_.membership_path),
-                         /*allow_pull=*/true);
-      } catch (const lbs::Error& error) {
-        // A torn or bad file must not move the view; the atomic
-        // write_view_file makes this a misconfiguration signal.
-        metrics_->counter("service.membership.file_rejected").add();
-        std::fprintf(stderr, "lbsd: membership file rejected: %s\n",
-                     error.what());
-      }
-    }
-    lock.lock();
-  }
 }
 
 void Server::request_stop() {

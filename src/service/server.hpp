@@ -124,13 +124,13 @@ struct ServerOptions {
   std::uint32_t reply_timeout_ms = 5000;
 
   // Elastic membership (service/membership.hpp). membership_path: a view
-  // file read at start() and, when membership_poll_ms > 0, watched by
-  // mtime so an operator edit propagates without a restart — the same
-  // convergence path as a MembershipUpdate frame. handoff_timeout_ms
+  // file read once at start(), so a cold restart rejoins at the fleet's
+  // epoch; a missing or malformed file is logged + counted
+  // (service.membership.file_rejected) and the server starts at epoch 0.
+  // Later views arrive as MembershipUpdate frames. handoff_timeout_ms
   // bounds each snapshot-range pull from a peer during a reshard; a slow
   // or dead donor costs one timeout and a counted failure, never a hang.
   std::string membership_path;
-  std::uint32_t membership_poll_ms = 200;
   std::uint32_t handoff_timeout_ms = 5000;
 
   // Observability. Null tracer falls back to obs::global_tracer() (and
@@ -239,7 +239,6 @@ class Server {
   void connection_loop(std::shared_ptr<Connection> connection);
   void dispatch_loop();
   void snapshot_loop();
-  void membership_watch_loop();
   std::size_t pull_partition(const MembershipView& view, const Endpoint& donor);
   [[nodiscard]] std::vector<SnapshotEntry> entries_owned_by(
       const MembershipView& view, const std::string& owner) const;
@@ -278,7 +277,6 @@ class Server {
   std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread snapshot_thread_;
-  std::thread membership_thread_;
   std::mutex connections_mu_;
   std::vector<std::thread> connection_threads_;
   // Every accepted connection, kept open through the drain so replies to
@@ -294,10 +292,6 @@ class Server {
   std::mutex snapshot_wake_mu_;
   std::condition_variable snapshot_wake_cv_;
   bool snapshot_stop_ = false;  // guarded by snapshot_wake_mu_
-
-  std::mutex membership_wake_mu_;
-  std::condition_variable membership_wake_cv_;
-  bool membership_stop_ = false;  // guarded by membership_wake_mu_
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> cache_hits_{0};

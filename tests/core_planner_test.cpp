@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/dp.hpp"
 #include "core/root_selection.hpp"
+#include "model/grid_parser.hpp"
 #include "model/testbed.hpp"
 #include "support/error.hpp"
 
@@ -234,6 +238,34 @@ TEST(RootSelection, FasterRemoteRootCanWin) {
   auto result = select_root(grid, 1000000);
   EXPECT_EQ(grid.machine(result.best().root.machine).name, "hub");
   EXPECT_GT(result.best().staging_time, 0.0);
+}
+
+TEST(RootSelection, PaperConfigSkipsRootsWithUnmeasuredLinks) {
+  // The shipped config only measured links from dinadan (the data home),
+  // so every other root would need a link it does not define.
+  std::ifstream file(LBS_EXAMPLE_GRIDS_DIR "/paper_testbed.conf");
+  ASSERT_TRUE(file) << "missing examples/grids/paper_testbed.conf";
+  std::ostringstream text;
+  text << file.rdbuf();
+  auto parsed = model::parse_grid(text.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+
+  auto result = select_root(*parsed.grid, model::kPaperRayCount);
+  ASSERT_EQ(result.candidates.size(), 1u);
+  EXPECT_EQ(result.best().label, "dinadan");
+  EXPECT_DOUBLE_EQ(result.best().staging_time, 0.0);
+}
+
+TEST(RootSelection, NoFullyLinkedCandidateThrows) {
+  model::Grid grid;
+  model::Machine m;
+  m.comp = model::Cost::linear(1.0);
+  m.name = "home";
+  int home = grid.add_machine(m);
+  m.name = "island";
+  grid.add_machine(m);
+  grid.set_data_home(home);
+  EXPECT_THROW(select_root(grid, 10), lbs::Error);
 }
 
 TEST(RootSelection, RequiresDataHome) {

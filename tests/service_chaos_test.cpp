@@ -23,6 +23,7 @@
 #include "model/testbed.hpp"
 #include "obs/metrics.hpp"
 #include "service/client.hpp"
+#include "service/fleet.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
 #include "support/checksum.hpp"
@@ -337,19 +338,21 @@ TEST(ChaosService, HostileTransportNeverHangsAndNeverLies) {
   FaultInjector injector(chaos);
   InjectorScope scope(injector);
 
-  ClientOptions client_options;
-  client_options.socket_path = server_options.socket_path;
+  // One attempt per plan; a connection the chaos killed is re-dialed on
+  // the next one.
+  FleetOptions client_options;
+  client_options.replicas = {Endpoint::unix_path(server_options.socket_path)};
   client_options.request_timeout_ms = 3000;
+  client_options.retries_per_replica = 0;
   client_options.backoff_cap_ms = 20;
   client_options.breaker_threshold = 0;  // keep probing; breaker has its own test
   client_options.jitter_seed = 31;
-  Client client(client_options);
+  FleetClient client(client_options);
 
   int ok = 0;
   int typed_failures = 0;
   for (int i = 0; i < 40; ++i) {
     auto platform = seeded_platform(i % 8);
-    if (!client.connected()) (void)client.try_reconnect();
     PlanResponse response = client.plan(platform, 1500 + (i % 8));
     expect_correct_or_typed(response, platform, 1500 + (i % 8));
     if (response.status == PlanStatus::Ok) {
@@ -378,7 +381,6 @@ TEST(ClientDeadline, SlowSolveSurfacesTypedTimeout) {
   ClientOptions client_options;
   client_options.socket_path = server_options.socket_path;
   client_options.request_timeout_ms = 50;
-  client_options.breaker_threshold = 0;
   Client client(client_options);
 
   auto platform = seeded_platform(50);
@@ -395,6 +397,20 @@ TEST(ClientDeadline, SlowSolveSurfacesTypedTimeout) {
   server.stop();
 }
 
+// A one-replica FleetClient whose breaker trips after two transport
+// failures; one attempt per plan so every plan is one breaker outcome.
+FleetOptions breaker_options(const std::string& socket, std::uint32_t cooldown_ms,
+                             obs::Metrics* metrics) {
+  FleetOptions options;
+  options.replicas = {Endpoint::unix_path(socket)};
+  options.breaker_threshold = 2;
+  options.breaker_cooldown_ms = cooldown_ms;
+  options.retries_per_replica = 0;
+  options.backoff_cap_ms = 5;
+  options.metrics = metrics;
+  return options;
+}
+
 TEST(CircuitBreaker, OpensAfterConsecutiveTransportFailures) {
   std::string socket = test_path("breaker.sock");
   ServerOptions server_options;
@@ -402,26 +418,23 @@ TEST(CircuitBreaker, OpensAfterConsecutiveTransportFailures) {
   Server server(server_options);
   server.start();
 
-  ClientOptions client_options;
-  client_options.socket_path = socket;
-  client_options.breaker_threshold = 2;
-  client_options.breaker_cooldown_ms = 60000;  // stays open for the test
-  client_options.backoff_cap_ms = 5;
-  Client client(client_options);
+  obs::Metrics metrics;
+  FleetClient client(breaker_options(socket, 60000, &metrics));  // stays open
+  ASSERT_TRUE(client.ping(0));  // connected; control calls never feed the breaker
   server.stop();  // daemon gone; the socket file is unlinked
 
   auto platform = seeded_platform(60);
-  EXPECT_FALSE(client.breaker_open());
+  EXPECT_EQ(metrics.counter("service.fleet.breaker.opens").value(), 0u);
   for (int i = 0; i < 2; ++i) {
-    PlanResponse response = client.plan_with_retry(platform, 900, core::Algorithm::Auto,
-                                                   /*max_retries=*/0);
+    PlanResponse response = client.plan(platform, 900);
     EXPECT_EQ(response.status, PlanStatus::Disconnected);
   }
-  EXPECT_TRUE(client.breaker_open());
+  EXPECT_EQ(metrics.counter("service.fleet.breaker.opens").value(), 1u);
 
   // Open breaker: fail fast, typed.
-  PlanResponse fast = client.plan_with_retry(platform, 900);
+  PlanResponse fast = client.plan(platform, 900);
   EXPECT_EQ(fast.status, PlanStatus::BreakerOpen);
+  EXPECT_EQ(metrics.counter("service.fleet.breaker.fast_fails").value(), 1u);
   client.close();
 }
 
@@ -433,30 +446,27 @@ TEST(CircuitBreaker, OpenBreakerFallsBackToInProcessPlanner) {
   server.start();
 
   obs::Metrics metrics;
-  ClientOptions client_options;
-  client_options.socket_path = socket;
-  client_options.breaker_threshold = 2;
-  client_options.breaker_cooldown_ms = 60000;
-  client_options.backoff_cap_ms = 5;
+  FleetOptions client_options = breaker_options(socket, 60000, &metrics);
   client_options.local_fallback = true;
-  client_options.metrics = &metrics;
-  Client client(client_options);
+  FleetClient client(client_options);
+  ASSERT_TRUE(client.ping(0));
   server.stop();
 
   auto platform = seeded_platform(61);
   for (int i = 0; i < 2; ++i) {
-    (void)client.plan_with_retry(platform, 1100, core::Algorithm::Auto, 0);
+    (void)client.plan(platform, 1100);
   }
-  ASSERT_TRUE(client.breaker_open());
+  ASSERT_EQ(metrics.counter("service.fleet.breaker.opens").value(), 1u);
 
   // Differential check: the degraded answer IS the planner's answer.
-  PlanResponse fallback = client.plan_with_retry(platform, 1100);
+  PlanResponse fallback = client.plan(platform, 1100);
+  EXPECT_EQ(metrics.counter("service.fleet.breaker.fast_fails").value(), 1u);
   ASSERT_EQ(fallback.status, PlanStatus::Ok);
   EXPECT_TRUE(fallback.local_fallback);
   auto direct = core::plan_scatter(platform, 1100);
   EXPECT_EQ(fallback.counts, direct.distribution.counts);
   EXPECT_DOUBLE_EQ(fallback.predicted_makespan, direct.predicted_makespan);
-  EXPECT_GE(metrics.counter("service.client.fallbacks").value(), 1u);
+  EXPECT_GE(metrics.counter("service.fleet.fallbacks").value(), 1u);
   client.close();
 }
 
@@ -464,44 +474,58 @@ TEST(CircuitBreaker, HalfOpenTrialRecoversWhenTheServerReturns) {
   std::string socket = test_path("halfopen.sock");
   auto platform = seeded_platform(62);
 
-  ClientOptions client_options;
-  client_options.socket_path = socket;
-  client_options.breaker_threshold = 2;
-  client_options.breaker_cooldown_ms = 50;
-  client_options.backoff_cap_ms = 5;
-
+  obs::Metrics metrics;
   ServerOptions server_options;
   server_options.socket_path = socket;
   {
     Server first(server_options);
     first.start();
-    Client client(client_options);
+    FleetClient client(breaker_options(socket, 50, &metrics));
+    ASSERT_TRUE(client.ping(0));
     first.stop();
 
     for (int i = 0; i < 2; ++i) {
-      (void)client.plan_with_retry(platform, 1300, core::Algorithm::Auto, 0);
+      (void)client.plan(platform, 1300);
     }
-    ASSERT_TRUE(client.breaker_open());
+    ASSERT_EQ(metrics.counter("service.fleet.breaker.opens").value(), 1u);
 
     // Daemon comes back under the same path; after the cooldown the
-    // half-open trial reconnects and closes the breaker.
+    // half-open trial re-dials and closes the breaker.
     Server second(server_options);
     second.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    PlanResponse recovered = client.plan_with_retry(platform, 1300);
+    PlanResponse recovered = client.plan(platform, 1300);
     EXPECT_EQ(recovered.status, PlanStatus::Ok) << recovered.message;
     EXPECT_FALSE(recovered.local_fallback);
-    EXPECT_FALSE(client.breaker_open());
     auto direct = core::plan_scatter(platform, 1300);
     EXPECT_EQ(recovered.counts, direct.distribution.counts);
+    // Closed again: the next plan goes straight through, no fast fail.
+    EXPECT_EQ(client.plan(platform, 1300).status, PlanStatus::Ok);
+    EXPECT_EQ(metrics.counter("service.fleet.breaker.fast_fails").value(), 0u);
+    EXPECT_EQ(metrics.counter("service.fleet.reconnects").value(), 1u);
     client.close();
     second.stop();
   }
 }
 
+TEST(CircuitBreaker, RefusedDialsOpenItAndFailFastWithoutDialing) {
+  // An endpoint that never listened: every dial is refused. Each refused
+  // dial is a transport failure, so the third plan fails fast instead of
+  // dialing again.
+  obs::Metrics metrics;
+  FleetClient client(breaker_options(test_path("never.sock"), 60000, &metrics));
+  auto platform = seeded_platform(63);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(client.plan(platform, 700).status, PlanStatus::Disconnected);
+  }
+  EXPECT_EQ(client.plan(platform, 700).status, PlanStatus::BreakerOpen);
+  EXPECT_EQ(metrics.counter("service.fleet.dial_failures").value(), 2u);
+  EXPECT_EQ(client.counters().exhausted, 3u);
+}
+
 // The kill-restart soak: a daemon that dies mid-traffic and restarts
-// warm (snapshot + warm-start on the same file) while a client hammers
-// it with plan_with_retry. Every response, across every kill, must be a
+// warm (snapshot + warm-start on the same file) while a one-replica
+// FleetClient hammers it. Every response, across every kill, must be a
 // correct plan or a typed error; the suite finishing at all is the
 // no-hangs assertion. LBS_CHAOS_ITERS scales the kill count (nightly).
 TEST(ChaosSoak, KillRestartLoopNeverHangsOrLies) {
@@ -518,15 +542,16 @@ TEST(ChaosSoak, KillRestartLoopNeverHangsOrLies) {
     Server server(server_options);
     server.start();
 
-    ClientOptions client_options;
-    client_options.socket_path = socket;
+    FleetOptions client_options;
+    client_options.replicas = {Endpoint::unix_path(socket)};
     client_options.request_timeout_ms = 4000;
+    client_options.retries_per_replica = 2;
     client_options.backoff_cap_ms = 20;
     client_options.breaker_threshold = 3;
     client_options.breaker_cooldown_ms = 30;
     client_options.local_fallback = true;
     client_options.jitter_seed = static_cast<std::uint64_t>(iter) + 1;
-    Client client(client_options);
+    FleetClient client(client_options);
 
     // Kill the daemon mid-traffic.
     std::thread killer([&] {
@@ -538,8 +563,7 @@ TEST(ChaosSoak, KillRestartLoopNeverHangsOrLies) {
     for (int r = 0; r < 24; ++r) {
       auto platform = seeded_platform(r % 6);
       long long items = 1000 + (r % 6);
-      PlanResponse response =
-          client.plan_with_retry(platform, items, core::Algorithm::Auto, 2);
+      PlanResponse response = client.plan(platform, items);
       expect_correct_or_typed(response, platform, items);
       if (response.local_fallback) ++fallbacks;
     }

@@ -113,10 +113,9 @@ TEST(ServiceFleetChaos, KillMidLoadReroutesThenWarmRestartsItsPartition) {
   // Fast failure detection: short deadlines and cooldowns keep the drill
   // quick; correctness must not depend on their exact values.
   fleet_options.retries_per_replica = 1;
-  fleet_options.down_retry_ms = 50;
-  fleet_options.client.request_timeout_ms = 5000;
-  fleet_options.client.breaker_threshold = 2;
-  fleet_options.client.breaker_cooldown_ms = 100;
+  fleet_options.request_timeout_ms = 5000;
+  fleet_options.breaker_threshold = 2;
+  fleet_options.breaker_cooldown_ms = 100;
   FleetClient fleet(fleet_options);
 
   // Establish the partition and remember every key's home.

@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/client.hpp"
+#include "service/fleet.hpp"
 
 namespace lbs::service {
 namespace {
@@ -189,11 +190,16 @@ TEST(ServiceServer, RetryLoopEventuallySucceeds) {
   server.start();
 
   Client client(options.socket_path);
-  // Saturate the queue, then plan_with_retry must ride out the Rejections.
+  FleetOptions retrying;
+  retrying.replicas = {Endpoint::unix_path(options.socket_path)};
+  retrying.retries_per_replica = 50;
+  FleetClient fleet(retrying);
+  // Saturate the queue, then the fleet's retry loop must ride out the
+  // Rejections.
   auto filler1 = client.plan_async(seeded_platform(20), 3000, core::Algorithm::ExactDp);
   auto filler2 = client.plan_async(seeded_platform(21), 3000, core::Algorithm::ExactDp);
   PlanResponse response =
-      client.plan_with_retry(seeded_platform(22), 3000, core::Algorithm::ExactDp, 50);
+      fleet.plan(seeded_platform(22), 3000, core::Algorithm::ExactDp);
   EXPECT_EQ(response.status, PlanStatus::Ok);
   (void)filler1.get();
   (void)filler2.get();
@@ -349,12 +355,15 @@ TEST(ServiceServer, ManyClientsManyKeys) {
   std::atomic<int> wrong{0};
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      Client client(options.socket_path);
+      FleetOptions client_options;
+      client_options.replicas = {Endpoint::unix_path(options.socket_path)};
+      client_options.retries_per_replica = 8;
+      FleetClient client(client_options);
       for (int i = 0; i < kPerClient; ++i) {
         int seed = (c * kPerClient + i) % 16;  // overlap across clients
         auto platform = seeded_platform(seed);
         PlanResponse response =
-            client.plan_with_retry(platform, 2000 + seed, core::Algorithm::ExactDp);
+            client.plan(platform, 2000 + seed, core::Algorithm::ExactDp);
         if (response.status != PlanStatus::Ok) {
           wrong.fetch_add(1);
           continue;

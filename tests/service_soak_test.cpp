@@ -18,7 +18,7 @@
 
 #include "core/planner.hpp"
 #include "model/testbed.hpp"
-#include "service/client.hpp"
+#include "service/fleet.hpp"
 #include "service/server.hpp"
 
 namespace lbs::service {
@@ -71,20 +71,22 @@ TEST(ServiceSoak, MixedTrafficUnderConcurrency) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      Client client(options.socket_path);
+      FleetOptions client_options;
+      client_options.replicas = {Endpoint::unix_path(options.socket_path)};
+      client_options.retries_per_replica = 20;
+      FleetClient client(client_options);
       for (int i = 0; i < kPerClient; ++i) {
         // Traffic mix: every 8th op is a control message, the rest plans.
         // Seeds cycle a window of 40 keys (some hot overlap across
         // clients, some cold) against a 64-entry cache.
         if (i % 8 == 7) {
-          if (!client.ping()) failures.fetch_add(1);
+          if (!client.ping(0)) failures.fetch_add(1);
           continue;
         }
         int seed = (c * 7 + i * 3) % 40;
         long long items = 1000 + 50 * seed;
         auto platform = seeded_platform(seed);
-        PlanResponse response = client.plan_with_retry(platform, items,
-                                                       core::Algorithm::Auto, 20);
+        PlanResponse response = client.plan(platform, items);
         if (response.status != PlanStatus::Ok) {
           failures.fetch_add(1);
           continue;
