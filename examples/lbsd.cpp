@@ -32,6 +32,9 @@
 //                       epoch; later views arrive as MembershipUpdate
 //                       frames (see docs/service.md#elasticity)
 //
+// Numeric flags take a whole base-10 integer in range (N >= 1, --workers
+// >= 0); anything else ("12abc", "abc") prints the usage and exits 2.
+//
 // `--snapshot S --warm-start S` is the crash-safe restart idiom: every
 // run resumes from the previous run's cache.
 //
@@ -40,8 +43,8 @@
 // doubles as a report.
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -69,9 +72,12 @@ int usage() {
   return 2;
 }
 
-bool parse_int(const char* text, int& out) {
-  out = std::atoi(text);
-  return out > 0;
+// The whole of `text` as a base-10 int >= `min`; "12abc", "abc", "" and
+// out-of-range values are usage errors.
+bool parse_int(const char* text, int& out, int min = 1) {
+  const char* end = text + std::strlen(text);
+  auto [stop, error] = std::from_chars(text, end, out);
+  return error == std::errc() && stop == end && out >= min;
 }
 
 }  // namespace
@@ -97,9 +103,8 @@ int main(int argc, char** argv) {
       options.cache_shards = value;
     } else if (arg == "--capacity" && i + 1 < argc && parse_int(argv[++i], value)) {
       options.cache_capacity_per_shard = static_cast<std::size_t>(value);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      options.dp_workers = std::atoi(argv[++i]);
-      if (options.dp_workers < 0) return usage();
+    } else if (arg == "--workers" && i + 1 < argc && parse_int(argv[++i], value, 0)) {
+      options.dp_workers = value;
     } else if (arg == "--queue" && i + 1 < argc && parse_int(argv[++i], value)) {
       options.max_queue = static_cast<std::size_t>(value);
     } else if (arg == "--batch" && i + 1 < argc && parse_int(argv[++i], value)) {

@@ -39,11 +39,6 @@ void resolve_failed(std::promise<Message>& promise, std::uint64_t id,
   promise.set_value(std::move(dead));
 }
 
-std::chrono::steady_clock::time_point deadline_after(std::uint32_t timeout_ms) {
-  if (timeout_ms == 0) return std::chrono::steady_clock::time_point::max();
-  return std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-}
-
 }  // namespace
 
 Client::Client(const std::string& endpoint_spec)
@@ -72,7 +67,7 @@ Client::~Client() { close(); }
 template <typename T>
 std::future<T> Client::send(PendingMap<T>& pending, std::uint64_t id,
                             const std::vector<std::uint8_t>& payload,
-                            TimePoint deadline) {
+                            IoDeadline deadline) {
   std::promise<T> promise;
   std::future<T> future = promise.get_future();
   if (disconnected_.load(std::memory_order_acquire)) {
@@ -80,30 +75,41 @@ std::future<T> Client::send(PendingMap<T>& pending, std::uint64_t id,
     return future;
   }
   // Register the promise *before* sending: the reply can race the return
-  // from send_payload.
+  // from send_frame.
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     pending.emplace(id, std::move(promise));
   }
-  if (send_payload(payload, deadline)) return future;
-
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  auto it = pending.find(id);
-  if (it != pending.end()) {
-    // Distinguish "the socket died" from "the deadline expired while the
-    // send was still blocked" — the latter is a Timeout.
-    const bool late = std::chrono::steady_clock::now() >= deadline;
-    if (late) metrics_->counter("service.client.timeouts").add();
-    resolve_failed(it->second, id, late ? PlanStatus::Timeout : PlanStatus::Disconnected);
-    pending.erase(it);
+  IoStatus sent = IoStatus::Closed;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (fd_ >= 0 && !disconnected_.load(std::memory_order_acquire)) {
+      sent = send_frame(fd_, payload, deadline);
+    }
   }
+  if (sent == IoStatus::Ok) return future;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    auto it = pending.find(id);
+    if (it != pending.end()) {
+      const bool late = sent == IoStatus::TimedOut;
+      if (late) metrics_->counter("service.client.timeouts").add();
+      resolve_failed(it->second, id,
+                     late ? PlanStatus::Timeout : PlanStatus::Disconnected);
+      pending.erase(it);
+    }
+  }
+  // The socket failed, or the stream may now end mid-frame: either way
+  // the connection is over. Ended only after this request is resolved,
+  // so the reader's fail_all_pending cannot answer it Disconnected.
+  end_connection();
   return future;
 }
 
 template <typename T>
 T Client::await(PendingMap<T>& pending, std::uint64_t id, std::future<T>& future,
-                TimePoint deadline) {
-  if (deadline != TimePoint::max() &&
+                IoDeadline deadline) {
+  if (deadline != no_deadline() &&
       future.wait_until(deadline) != std::future_status::ready) {
     std::lock_guard<std::mutex> lock(pending_mu_);
     auto it = pending.find(id);
@@ -136,15 +142,15 @@ std::future<PlanResponse> Client::plan_async(const model::Platform& platform,
                                              core::Algorithm algorithm) {
   const std::uint64_t id = next_id();
   return send(pending_plans_, id, encode_plan(id, platform, items, algorithm),
-              TimePoint::max());
+              no_deadline());
 }
 
 PlanResponse Client::plan(const model::Platform& platform, long long items,
                           core::Algorithm algorithm,
                           std::optional<std::uint32_t> timeout_ms) {
   const std::uint64_t id = next_id();
-  const TimePoint deadline =
-      deadline_after(timeout_ms.value_or(options_.request_timeout_ms));
+  const IoDeadline deadline =
+      deadline_after_ms(timeout_ms.value_or(options_.request_timeout_ms));
   std::future<PlanResponse> future = send(
       pending_plans_, id, encode_plan(id, platform, items, algorithm), deadline);
   return await(pending_plans_, id, future, deadline);
@@ -176,31 +182,26 @@ Message Client::control(MessageType type) {
 }
 
 Message Client::control(std::uint64_t id, const std::vector<std::uint8_t>& payload) {
-  const TimePoint deadline = deadline_after(options_.control_timeout_ms);
+  const IoDeadline deadline = deadline_after_ms(options_.control_timeout_ms);
   std::future<Message> future = send(pending_controls_, id, payload, deadline);
   return await(pending_controls_, id, future, deadline);
 }
 
-bool Client::send_payload(const std::vector<std::uint8_t>& payload,
-                          TimePoint deadline) {
+void Client::end_connection() {
+  // shutdown() wakes the reader, which fails the pending requests and
+  // closes the fd.
   std::lock_guard<std::mutex> lock(write_mu_);
-  if (fd_ < 0 || disconnected_.load(std::memory_order_acquire)) return false;
-  IoStatus status = send_frame_within(fd_, payload, deadline);
-  if (status == IoStatus::Ok) return true;
-  if (status != IoStatus::TimedOut) {
-    // The socket itself failed; a timed-out send leaves the connection
-    // intact (the peer may just be slow) and answers its caller Timeout.
-    disconnected_.store(true, std::memory_order_release);
-  }
-  return false;
+  disconnected_.store(true, std::memory_order_release);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+// The only thread that closes fd_.
 void Client::reader_loop() {
   std::vector<std::uint8_t> payload;
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (true) {
     IoStatus status = IoStatus::Closed;
     try {
-      status = recv_frame_within(fd_, payload, stop_, no_deadline());
+      status = recv_frame(fd_, payload, no_deadline(), options_.request_timeout_ms);
     } catch (const lbs::Error&) {
       status = IoStatus::Closed;  // mis-framed/corrupt stream: disconnect
     }
@@ -240,7 +241,12 @@ void Client::reader_loop() {
     if (have_plan) plan_promise.set_value(std::move(*message.plan_response));
     if (have_control) control_promise.set_value(std::move(message));
   }
-  disconnected_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    disconnected_.store(true, std::memory_order_release);
+    close_fd(fd_);
+    fd_ = -1;
+  }
   fail_all_pending();
 }
 
@@ -262,22 +268,8 @@ void Client::fail_all_pending() {
 
 void Client::close() {
   std::call_once(close_once_, [this] {
-    stop_.store(true, std::memory_order_release);
-    disconnected_.store(true, std::memory_order_release);
-    {
-      // shutdown() wakes the reader's poll immediately; close the fd only
-      // after the reader is joined so no other thread can reuse the
-      // number.
-      std::lock_guard<std::mutex> lock(write_mu_);
-      ::shutdown(fd_, SHUT_RDWR);
-    }
+    end_connection();
     if (reader_.joinable()) reader_.join();
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      close_fd(fd_);
-      fd_ = -1;
-    }
-    fail_all_pending();
   });
 }
 

@@ -16,11 +16,16 @@
 //     expiry it withdraws its pending entry and answers
 //     PlanStatus::Timeout; the late reply, if it ever arrives, is
 //     dropped as an unmatched id. Sends also honor the deadline, so a
-//     peer that stops reading cannot wedge the caller in write().
+//     peer that stops reading cannot wedge the caller in send(); a send
+//     that misses it answers Timeout and ends the connection, since the
+//     stream may now stop mid-frame. The reader bounds each reply frame
+//     by request_timeout_ms once its first byte is in.
 //
 //   Disconnects.  When the connection dies, every outstanding future
-//     resolves with PlanStatus::Disconnected — futures never hang. A
-//     Client never re-dials; close() is terminal.
+//     resolves with PlanStatus::Disconnected — futures never hang, and
+//     connected() turns false. A Client never re-dials; close() is
+//     terminal. Every stop is a shutdown(2) that wakes the reader
+//     thread; that thread alone closes the fd.
 //
 // Policy — retries, backoff, circuit breaking, re-dialing and the local
 // fallback — lives in one place, service::FleetClient (fleet.hpp). A
@@ -28,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -132,7 +136,6 @@ class Client {
   void close();
 
  private:
-  using TimePoint = std::chrono::steady_clock::time_point;
   template <typename T>
   using PendingMap = std::map<std::uint64_t, std::promise<T>>;
 
@@ -145,16 +148,16 @@ class Client {
 
   // Registers a promise under `id`, then sends `payload` by `deadline`.
   // A send that fails resolves the future at once (Timeout if the
-  // deadline passed, else Disconnected).
+  // deadline passed, else Disconnected) and ends the connection.
   template <typename T>
   [[nodiscard]] std::future<T> send(PendingMap<T>& pending, std::uint64_t id,
                                     const std::vector<std::uint8_t>& payload,
-                                    TimePoint deadline);
+                                    IoDeadline deadline);
   // Waits for `future` until `deadline`; on expiry withdraws the pending
   // entry and answers Timeout, unless the reader already claimed it.
   template <typename T>
   [[nodiscard]] T await(PendingMap<T>& pending, std::uint64_t id,
-                        std::future<T>& future, TimePoint deadline);
+                        std::future<T>& future, IoDeadline deadline);
 
   // A control round-trip under the control deadline: the matching
   // response Message, or type == PlanResponse with a Disconnected /
@@ -162,18 +165,17 @@ class Client {
   [[nodiscard]] Message control(std::uint64_t id,
                                 const std::vector<std::uint8_t>& payload);
   [[nodiscard]] Message control(MessageType type);
-  [[nodiscard]] bool send_payload(const std::vector<std::uint8_t>& payload,
-                                  TimePoint deadline);
+  // Marks the client disconnected and shuts the socket down.
+  void end_connection();
   void reader_loop();
   void fail_all_pending();
 
   ClientOptions options_;
   obs::Metrics* metrics_ = nullptr;
 
-  int fd_ = -1;
-  std::atomic<bool> stop_{false};
+  int fd_ = -1;  // closed (and set -1) only by the reader, under write_mu_
   std::atomic<bool> disconnected_{false};
-  std::mutex write_mu_;
+  std::mutex write_mu_;  // one frame writer at a time; also guards fd_
   std::once_flag close_once_;
 
   std::mutex pending_mu_;

@@ -1,10 +1,11 @@
 // Wire protocol of the planning service (lbsd).
 //
-// Framing: every message is one length-prefixed frame
+// Framing: every message is one length-prefixed, checksummed frame
 //
-//   u32 payload_length (little-endian) | payload
+//   u32 payload_length (LE) | u32 crc32(payload) (LE) | payload
 //
-// and every payload starts with `u8 version | u8 message_type | u64 id`.
+// (service/socket.hpp writes and checks the two header words), and
+// every payload starts with `u8 version | u8 message_type | u64 id`.
 // The id is chosen by the requester and echoed verbatim in the response,
 // which is what lets a client pipeline many requests over one connection
 // and match replies out of order. Frames above kMaxFrameBytes are a

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
@@ -27,24 +28,25 @@ constexpr long long kServedCoalesced = 2;
 bool Server::Connection::send(const std::vector<std::uint8_t>& payload) {
   std::lock_guard lock(write_mu);
   if (fd < 0) return false;
-  IoDeadline deadline = send_timeout_ms > 0 ? deadline_after_ms(send_timeout_ms)
-                                            : no_deadline();
-  IoStatus status = send_frame_within(fd, payload, deadline);
+  IoStatus status = send_frame(fd, payload, deadline_after_ms(send_timeout_ms));
   if (status == IoStatus::TimedOut) {
     // A peer that cannot absorb one frame within the reply budget is
-    // wedged or gone; drop the connection rather than block the sender.
-    close_fd(fd);
-    fd = -1;
+    // wedged or gone, and the stream may now end mid-frame: shut it
+    // down. The connection thread reads EOF and closes the fd.
+    ::shutdown(fd, SHUT_RDWR);
   }
   return status == IoStatus::Ok;
 }
 
+void Server::Connection::shutdown_read() {
+  std::lock_guard lock(write_mu);
+  if (fd >= 0) ::shutdown(fd, SHUT_RD);
+}
+
 void Server::Connection::close() {
   std::lock_guard lock(write_mu);
-  if (fd >= 0) {
-    close_fd(fd);
-    fd = -1;
-  }
+  close_fd(fd);
+  fd = -1;
 }
 
 Server::Server(ServerOptions options)
@@ -95,7 +97,6 @@ void Server::start() {
     }
   }
   started_ = true;
-  stop_.store(false, std::memory_order_release);
   {
     std::lock_guard lock(snapshot_wake_mu_);
     snapshot_stop_ = false;
@@ -109,25 +110,31 @@ void Server::start() {
 
 void Server::stop() {
   if (!started_) return;
-  stop_.store(true, std::memory_order_release);
-  queue_.close();
   {
     std::lock_guard lock(snapshot_wake_mu_);
     snapshot_stop_ = true;
   }
   snapshot_wake_cv_.notify_all();
+  // shutdown(2) is the only stop signal: the accept loop sees -1, and
+  // after it has exited the connection list is final.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  // The dispatcher drains the closed queue before exiting: every accepted
+  // solve is answered over its still-open connection. Requests read
+  // meanwhile are answered from the cache or Rejected.
+  queue_.close();
+  if (dispatch_thread_.joinable()) dispatch_thread_.join();
   {
+    // Each connection thread then reads EOF, closes its own fd and exits;
+    // writes stay open for the replies to requests it read before that.
     std::lock_guard lock(connections_mu_);
+    for (auto& connection : open_connections_) connection->shutdown_read();
     for (auto& thread : connection_threads_) {
       if (thread.joinable()) thread.join();
     }
     connection_threads_.clear();
+    open_connections_.clear();
   }
-  // The dispatcher drains the closed queue before exiting: every accepted
-  // solve is answered over its still-open connection. Only after the join
-  // is it safe to close the fds.
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
   if (!options_.snapshot_path.empty()) {
     // Final on-drain snapshot: the cache now holds every plan this run
@@ -138,11 +145,6 @@ void Server::stop() {
       metrics_->counter("service.snapshot.write_failures").add();
       std::fprintf(stderr, "lbsd: final snapshot failed: %s\n", error.what());
     }
-  }
-  {
-    std::lock_guard lock(connections_mu_);
-    for (auto& connection : open_connections_) connection->close();
-    open_connections_.clear();
   }
   close_fd(listen_fd_);
   listen_fd_ = -1;
@@ -338,11 +340,11 @@ std::size_t Server::pull_partition(const MembershipView& view,
     const IoDeadline deadline = deadline_after_ms(options_.handoff_timeout_ms);
     const std::vector<std::uint8_t> request =
         encode_snapshot_range(1, view, options_.endpoint.to_string());
-    if (send_frame_within(fd, request, deadline) != IoStatus::Ok) {
+    if (send_frame(fd, request, deadline) != IoStatus::Ok) {
       throw lbs::Error("handoff: request not sent before the deadline");
     }
     std::vector<std::uint8_t> reply;
-    if (recv_frame_within(fd, reply, stop_, deadline) != IoStatus::Ok) {
+    if (recv_frame(fd, reply, deadline, 0) != IoStatus::Ok) {
       throw lbs::Error("handoff: no reply before the deadline");
     }
     Message message = decode_message(reply);
@@ -386,9 +388,9 @@ bool Server::wait_until_stop_requested_for(int timeout_ms) {
 }
 
 void Server::accept_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    int fd = accept_with_stop(listen_fd_, stop_);
-    if (fd < 0) break;
+  while (true) {
+    int fd = accept_connection(listen_fd_);
+    if (fd < 0) break;  // stop() shut the listener down
     connections_.fetch_add(1, std::memory_order_relaxed);
     metrics_->counter("service.connections").add();
     auto connection = std::make_shared<Connection>();
@@ -400,12 +402,15 @@ void Server::accept_loop() {
   }
 }
 
+// The only thread that closes connection->fd: every other thread writes
+// under write_mu and, to end the connection, shuts it down.
 void Server::connection_loop(std::shared_ptr<Connection> connection) {
   std::vector<std::uint8_t> payload;
   while (true) {
     IoStatus status = IoStatus::Closed;
     try {
-      status = recv_frame_within(connection->fd, payload, stop_, no_deadline());
+      status = recv_frame(connection->fd, payload, no_deadline(),
+                          options_.reply_timeout_ms);
     } catch (const lbs::Error&) {
       // Mis-framed or corrupted stream (bad length, checksum mismatch):
       // drop the connection.
@@ -413,13 +418,7 @@ void Server::connection_loop(std::shared_ptr<Connection> connection) {
       metrics_->counter("service.protocol_errors").add();
       break;
     }
-    if (status == IoStatus::Stopped) {
-      // Shutdown path: leave the fd OPEN. The dispatcher is still
-      // draining accepted solves and must be able to answer waiters on
-      // this connection; stop() closes it after the dispatch join.
-      return;
-    }
-    if (status != IoStatus::Ok) break;  // peer closed
+    if (status != IoStatus::Ok) break;  // EOF, shutdown, or a stalled frame
     try {
       handle_message(connection, decode_message(payload));
     } catch (const lbs::Error&) {

@@ -33,6 +33,14 @@
 //      compute in parallel, each filling the cache and answering every
 //      waiter attached to its key.
 //
+// Transport (service/socket.hpp): one thread per connection reads its
+// requests and answers cache hits inline; the dispatcher answers solved
+// ones. Both write under the connection's write_mu, each reply bounded by
+// reply_timeout_ms, and a reply that misses it shuts the connection down.
+// Only the connection's own thread closes its fd. stop() signals by
+// shutdown(2) alone: the listener first, then — once the dispatcher has
+// answered every accepted solve — the read side of each connection.
+//
 // Observability (docs/observability.md): service.request spans (receipt
 // to reply, outcome in arg1/arg2), service.queue spans (time a solve
 // waited), service.batch spans (size in arg0), plus service.* counters
@@ -118,9 +126,10 @@ struct ServerOptions {
   std::string snapshot_path;
   std::uint32_t snapshot_interval_ms = 0;
 
-  // Upper bound on one reply write. A stalled or dead client can sink a
-  // reply slowly, but it cannot wedge the dispatcher: past this deadline
-  // the reply is abandoned and the connection is dropped.
+  // Upper bound on moving one frame in either direction: writing a
+  // reply, or reading the rest of a request once its first byte is in.
+  // A stalled or dead client cannot wedge the dispatcher or a connection
+  // thread: past this deadline the connection is dropped. 0: no bound.
   std::uint32_t reply_timeout_ms = 5000;
 
   // Elastic membership (service/membership.hpp). membership_path: a view
@@ -156,7 +165,8 @@ class Server {
   // joins all threads, and removes the socket file. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const { return started_ && !stop_.load(); }
+  // Between start() and stop(); for the thread that calls both.
+  [[nodiscard]] bool running() const { return started_; }
 
   // Cooperative shutdown signal (what a Shutdown message triggers): wakes
   // wait_until_stop_requested so the owner — lbsd's main — can call
@@ -211,12 +221,14 @@ class Server {
 
  private:
   struct Connection {
-    int fd = -1;
+    int fd = -1;  // written only by the connection thread, under write_mu
     std::uint32_t send_timeout_ms = 0;  // 0: no deadline
-    std::mutex write_mu;  // one frame writer at a time; also guards close
+    std::mutex write_mu;  // one frame writer at a time; also guards fd
 
+    // One frame by send_timeout_ms; a missed deadline shuts fd down.
     bool send(const std::vector<std::uint8_t>& payload);
-    void close();
+    void shutdown_read();  // stop(): the connection thread reads EOF
+    void close();          // the connection thread, on its way out
   };
   struct Waiter {
     std::shared_ptr<Connection> connection;
@@ -273,15 +285,13 @@ class Server {
 
   int listen_fd_ = -1;
   bool started_ = false;
-  std::atomic<bool> stop_{false};
   std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread snapshot_thread_;
   std::mutex connections_mu_;
   std::vector<std::thread> connection_threads_;
-  // Every accepted connection, kept open through the drain so replies to
-  // in-flight solves still have a live fd; stop() closes them after the
-  // dispatcher finishes. Guarded by connections_mu_.
+  // Every accepted connection, so stop() can shut down their read sides
+  // after the dispatcher finishes. Guarded by connections_mu_.
   std::vector<std::shared_ptr<Connection>> open_connections_;
   std::mutex snapshot_write_mu_;  // one snapshot writer at a time
 

@@ -23,6 +23,8 @@ namespace lbs::service {
 
 namespace {
 
+constexpr std::size_t kHeaderBytes = 8;  // u32 length | u32 crc32
+
 [[noreturn]] void raise_errno(const std::string& what) {
   throw lbs::Error("service socket: " + what + ": " + std::strerror(errno));
 }
@@ -66,37 +68,27 @@ addrinfo* resolve_tcp(const Endpoint& endpoint, bool passive) {
   return result;
 }
 
-// Remaining poll budget in ms: -1 for "no deadline", 0 when already past.
-int remaining_ms(IoDeadline deadline) {
-  if (deadline == no_deadline()) return -1;
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - std::chrono::steady_clock::now());
-  if (left.count() <= 0) return 0;
-  return static_cast<int>(
-      std::min<long long>(left.count(), std::numeric_limits<int>::max()));
-}
-
-// Polls fd for `events` until readable/writable, stop, or deadline.
-IoStatus wait_io(int fd, short events, const std::atomic<bool>* stop,
-                 IoDeadline deadline, int slice_ms) {
-  while (stop == nullptr || !stop->load(std::memory_order_acquire)) {
-    int budget = remaining_ms(deadline);
-    if (budget == 0) return IoStatus::TimedOut;
-    int wait = slice_ms;
-    if (budget > 0) wait = std::min(wait, budget);
-    if (stop == nullptr && budget < 0) wait = -1;  // nothing to slice for
-    pollfd pfd{fd, events, 0};
-    int ready = ::poll(&pfd, 1, wait);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      raise_errno("poll");
+// Waits until fd is ready for `events` or `deadline` passes; false on
+// the latter. Called only after a recv/send found nothing to do. A
+// shutdown(2) on fd wakes it (the socket reads as EOF).
+bool wait_ready(int fd, short events, IoDeadline deadline) {
+  while (true) {
+    int budget = -1;  // no deadline: wait for readiness or shutdown
+    if (deadline != no_deadline()) {
+      auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      budget = static_cast<int>(
+          std::min<long long>(left.count(), std::numeric_limits<int>::max()));
     }
-    if (ready > 0) return IoStatus::Ok;  // ready, HUP, or error: the op resolves it
+    pollfd pfd{fd, events, 0};
+    int ready = ::poll(&pfd, 1, budget);
+    if (ready > 0) return true;  // ready, HUP, or error: the op resolves it
+    if (ready < 0 && errno != EINTR) raise_errno("poll");
   }
-  return IoStatus::Stopped;
 }
 
-// Applies an injected fault that precedes an I/O attempt. Returns the
+// Applies an injected fault that precedes a recv attempt. Returns the
 // byte cap for this attempt (>= 1 unless disconnected).
 std::size_t apply_read_faults(int fd, std::size_t size) {
   FaultInjector* injector = fault_injector();
@@ -109,38 +101,36 @@ std::size_t apply_read_faults(int fd, std::size_t size) {
   return std::min(action.max_bytes, size);
 }
 
-// Reads exactly `size` bytes, honoring stop and deadline.
+// Reads exactly `size` bytes by `deadline`. When `frame_timeout_ms` is
+// set, the first byte read tightens `deadline` to that long after it.
 IoStatus read_exact(int fd, std::uint8_t* data, std::size_t size,
-                    const std::atomic<bool>& stop, IoDeadline deadline,
-                    int slice_ms) {
+                    IoDeadline& deadline, std::uint32_t frame_timeout_ms) {
   std::size_t done = 0;
   while (done < size) {
-    IoStatus waited = wait_io(fd, POLLIN, &stop, deadline, slice_ms);
-    if (waited != IoStatus::Ok) return waited;
     std::size_t cap = apply_read_faults(fd, size - done);
-    ssize_t got = ::read(fd, data + done, cap);
-    if (got == 0) return IoStatus::Closed;  // orderly EOF
-    if (got < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      if (errno == ECONNRESET) return IoStatus::Closed;
-      raise_errno("read");
+    ssize_t got = ::recv(fd, data + done, cap, MSG_DONTWAIT);
+    if (got > 0) {
+      if (done == 0 && frame_timeout_ms > 0) {
+        deadline = std::min(deadline, deadline_after_ms(frame_timeout_ms));
+      }
+      done += static_cast<std::size_t>(got);
+    } else if (got == 0 || errno == ECONNRESET) {
+      return IoStatus::Closed;  // EOF (the peer closed, or shutdown(2)) or reset
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!wait_ready(fd, POLLIN, deadline)) return IoStatus::TimedOut;
+    } else if (errno != EINTR) {
+      raise_errno("recv");
     }
-    done += static_cast<std::size_t>(got);
   }
   return IoStatus::Ok;
 }
 
-// Writes exactly `size` bytes, polling for writability so the deadline
-// holds even against a full peer buffer. MSG_DONTWAIT keeps a blocking
-// fd from sleeping in send(2) past the poll's verdict.
+// Writes exactly `size` bytes by `deadline`.
 IoStatus write_exact(int fd, const std::uint8_t* data, std::size_t size,
                      IoDeadline deadline) {
   std::size_t done = 0;
   std::vector<std::uint8_t> scratch;  // only allocated when a fault corrupts
   while (done < size) {
-    IoStatus waited = wait_io(fd, POLLOUT, nullptr, deadline, 100);
-    if (waited != IoStatus::Ok) return waited;
-
     const std::uint8_t* chunk = data + done;
     std::size_t chunk_size = size - done;
     if (FaultInjector* injector = fault_injector(); injector != nullptr) {
@@ -158,14 +148,15 @@ IoStatus write_exact(int fd, const std::uint8_t* data, std::size_t size,
     }
 
     ssize_t put = ::send(fd, chunk, chunk_size, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (put < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      if (errno == EPIPE || errno == ECONNRESET || errno == EBADF) {
-        return IoStatus::Closed;
-      }
+    if (put >= 0) {
+      done += static_cast<std::size_t>(put);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!wait_ready(fd, POLLOUT, deadline)) return IoStatus::TimedOut;
+    } else if (errno == EPIPE || errno == ECONNRESET) {
+      return IoStatus::Closed;
+    } else if (errno != EINTR) {
       raise_errno("send");
     }
-    done += static_cast<std::size_t>(put);
   }
   return IoStatus::Ok;
 }
@@ -271,8 +262,11 @@ std::vector<Endpoint> parse_endpoint_list(const std::string& spec) {
 }
 
 IoDeadline deadline_after_ms(std::uint32_t ms) {
+  if (ms == 0) return no_deadline();
   return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
 }
+
+namespace {
 
 int listen_unix(const std::string& path, int backlog) {
   sockaddr_un address = make_address(path);
@@ -307,8 +301,6 @@ int connect_unix(const std::string& path) {
   }
   return fd;
 }
-
-namespace {
 
 int listen_tcp(Endpoint& endpoint, int backlog) {
   addrinfo* addresses = resolve_tcp(endpoint, /*passive=*/true);
@@ -404,50 +396,38 @@ int connect_endpoint(const Endpoint& endpoint) {
   throw Error("service socket: cannot connect to an invalid endpoint");
 }
 
-int accept_with_stop(int listen_fd, const std::atomic<bool>& stop, int slice_ms) {
-  while (!stop.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, slice_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      raise_errno("poll(listen)");
-    }
-    if (ready == 0) continue;
+int accept_connection(int listen_fd) {
+  while (true) {
     int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
       set_nodelay(fd);
       return fd;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED) continue;
-    return -1;  // listener closed under us: shutdown path
+    if (errno != EINTR && errno != ECONNABORTED) return -1;  // shut down
   }
-  return -1;
 }
 
-IoStatus send_frame_within(int fd, const std::vector<std::uint8_t>& payload,
-                           IoDeadline deadline) {
+IoStatus send_frame(int fd, const std::vector<std::uint8_t>& payload,
+                    IoDeadline deadline) {
   LBS_CHECK_MSG(payload.size() <= kMaxFrameBytes, "frame exceeds kMaxFrameBytes");
-  std::uint8_t header[8];
-  put_le32(header, static_cast<std::uint32_t>(payload.size()));
-  put_le32(header + 4, support::crc32(payload));
-
-  IoStatus sent = write_exact(fd, header, sizeof(header), deadline);
-  if (sent != IoStatus::Ok) return sent;
-  return write_exact(fd, payload.data(), payload.size(), deadline);
+  std::vector<std::uint8_t> frame(kHeaderBytes + payload.size());
+  put_le32(frame.data(), static_cast<std::uint32_t>(payload.size()));
+  put_le32(frame.data() + 4, support::crc32(payload));
+  std::copy(payload.begin(), payload.end(), frame.begin() + kHeaderBytes);
+  return write_exact(fd, frame.data(), frame.size(), deadline);
 }
 
-IoStatus recv_frame_within(int fd, std::vector<std::uint8_t>& payload,
-                           const std::atomic<bool>& stop, IoDeadline deadline,
-                           int slice_ms) {
-  std::uint8_t header[8];
-  IoStatus got = read_exact(fd, header, sizeof(header), stop, deadline, slice_ms);
+IoStatus recv_frame(int fd, std::vector<std::uint8_t>& payload,
+                    IoDeadline deadline, std::uint32_t frame_timeout_ms) {
+  std::uint8_t header[kHeaderBytes];
+  IoStatus got = read_exact(fd, header, sizeof(header), deadline, frame_timeout_ms);
   if (got != IoStatus::Ok) return got;
   std::uint32_t length = get_le32(header);
   std::uint32_t expected_crc = get_le32(header + 4);
   LBS_CHECK_MSG(length <= kMaxFrameBytes, "frame length exceeds kMaxFrameBytes");
   payload.resize(length);
   if (length > 0) {
-    got = read_exact(fd, payload.data(), length, stop, deadline, slice_ms);
+    got = read_exact(fd, payload.data(), length, deadline, 0);
     if (got != IoStatus::Ok) return got;
   }
   // A mismatch means bytes flipped in flight (or a desynchronized or
@@ -455,16 +435,6 @@ IoStatus recv_frame_within(int fd, std::vector<std::uint8_t>& payload,
   LBS_CHECK_MSG(support::crc32(payload) == expected_crc,
                 "frame checksum mismatch");
   return IoStatus::Ok;
-}
-
-bool send_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  return send_frame_within(fd, payload, no_deadline()) == IoStatus::Ok;
-}
-
-bool recv_frame(int fd, std::vector<std::uint8_t>& payload,
-                const std::atomic<bool>& stop, int slice_ms) {
-  return recv_frame_within(fd, payload, stop, no_deadline(), slice_ms) ==
-         IoStatus::Ok;
 }
 
 void close_fd(int fd) {

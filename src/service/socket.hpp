@@ -5,15 +5,24 @@
 // fleet transport — N replicas on N ports, one consistent-hash ring in
 // front). Both carry the identical length-prefixed framing from
 // service/protocol.hpp on a reliable byte stream; everything above the
-// fd never knows which family it is speaking. Everything here is
-// poll-based: reads wait in poll() slices so a thread blocked on a
-// quiet peer still notices `stop` (the server/client shutdown flag)
-// within one slice, and both directions accept a per-call deadline so a
-// stalled or half-dead peer surfaces as a typed IoStatus::TimedOut
-// instead of hanging the caller forever (poll(2) carries the timeout; no
-// SO_RCVTIMEO, which a mid-frame short read would quietly reset).
-// TCP connections set TCP_NODELAY: frames are small and latency-bound,
-// and Nagle would serialize the pipelined request/response pattern.
+// fd never knows which family it is speaking. TCP connections set
+// TCP_NODELAY: frames are small and latency-bound, and Nagle would
+// serialize the pipelined request/response pattern.
+//
+// One frame path, three rules:
+//   - Every recv/send is MSG_DONTWAIT, and poll(2) runs only after one
+//     of them found the socket empty (or full): an idle wait is bounded
+//     by the call's deadline, or unbounded. A busy socket costs no poll;
+//     a deadline still holds against a quiet or stalled peer (poll
+//     carries the timeout; no SO_RCVTIMEO, which a mid-frame short read
+//     would quietly reset).
+//   - shutdown(2) is the only stop signal. A thread blocked in
+//     recv_frame or accept_connection wakes when any thread shuts the
+//     socket down, and sees Closed (or -1); nothing samples a flag.
+//   - A frame is one send(2) when the socket has room. A send that
+//     misses its deadline leaves the stream mid-frame, so its caller
+//     shuts the socket down, and only the thread that reads an fd ever
+//     closes it: no thread can read or write a closed or reused fd.
 //
 // Frame integrity: every frame is `u32 length | u32 crc32 | payload`.
 // The CRC (support::crc32 over the payload) turns in-flight byte
@@ -22,12 +31,12 @@
 // silently wrong plan.
 //
 // Fault injection: when the chaos harness has installed a
-// service::FaultInjector (chaos.hpp), the raw read/write helpers consult
-// it on every attempt; production pays one relaxed atomic load per
-// attempt when none is set.
+// service::FaultInjector (chaos.hpp), the read/write helpers consult it
+// on every recv/send attempt; production pays one relaxed atomic load
+// per attempt when none is set.
 //
 // Error policy follows the repo convention: conditions that are *data*
-// (peer hung up, stop requested, deadline passed) are return values;
+// (peer hung up, socket shut down, deadline passed) are return values;
 // violated invariants, corrupt frames, and unexpected syscall failures
 // throw lbs::Error. Operator mistakes a CLI should report cleanly — a
 // socket path too long for sockaddr_un, an unresolvable host, a
@@ -35,7 +44,6 @@
 // can tell "you misconfigured me" from "an invariant broke".
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -88,63 +96,50 @@ struct Endpoint {
 // Outcome of one framed I/O call.
 enum class IoStatus : std::uint8_t {
   Ok,        // the full frame moved
-  Closed,    // orderly EOF or peer reset (mid-frame EOF included)
-  Stopped,   // the caller's stop flag was raised
+  Closed,    // EOF, peer reset or shutdown(2), mid-frame included
   TimedOut,  // the deadline passed before the frame completed
 };
 
 // Per-call deadline: a steady-clock time point; no_deadline() waits
-// forever (modulo the stop flag on reads).
+// until the frame moves or the socket is shut down.
 using IoDeadline = std::chrono::steady_clock::time_point;
 [[nodiscard]] constexpr IoDeadline no_deadline() { return IoDeadline::max(); }
+// `ms` from now; 0 is no_deadline(), as in every *_timeout_ms option.
 [[nodiscard]] IoDeadline deadline_after_ms(std::uint32_t ms);
 
-// Binds and listens on `path` (unlinking any stale socket file first).
-// Returns the listening fd; throws service::Error on an unusable path
-// (too long for sockaddr_un) and lbs::Error on unexpected failures.
-[[nodiscard]] int listen_unix(const std::string& path, int backlog = 64);
-
-// Connects to a listening socket. Returns the fd, or -1 when the server
-// is not there (no daemon, stale path); throws on unexpected errors.
-[[nodiscard]] int connect_unix(const std::string& path);
-
-// Family-dispatching variants. listen_endpoint updates a Tcp endpoint's
-// port in place when it was 0 (kernel-assigned), so the caller learns
-// the address peers must dial. connect_endpoint returns -1 when no
-// server is reachable there (refused, unreachable, missing socket file);
-// both throw service::Error on misconfiguration (invalid endpoint,
-// unresolvable host, oversize unix path).
+// Binds and listens, or dials. A Unix endpoint's stale socket file is
+// unlinked first. listen_endpoint updates a Tcp endpoint's port in place
+// when it was 0 (kernel-assigned), so the caller learns the address
+// peers must dial. connect_endpoint returns -1 when no server is
+// reachable there (refused, unreachable, missing socket file); both
+// throw service::Error on misconfiguration (invalid endpoint,
+// unresolvable host, oversize unix path) and lbs::Error on unexpected
+// failures.
 [[nodiscard]] int listen_endpoint(Endpoint& endpoint, int backlog = 64);
 [[nodiscard]] int connect_endpoint(const Endpoint& endpoint);
 
-// Accepts one connection, polling in `slice_ms` intervals so `stop` is
-// honored. Returns the connection fd, or -1 on stop/listener close.
-[[nodiscard]] int accept_with_stop(int listen_fd, const std::atomic<bool>& stop,
-                                   int slice_ms = 100);
+// Blocks in accept(2). Returns the connection fd, or -1 once the
+// listener is shut down (or accept fails for good).
+[[nodiscard]] int accept_connection(int listen_fd);
 
-// Writes a complete frame (u32 length + u32 crc + payload), polling for
-// writability so `deadline` is honored even when the peer's buffer is
-// full. Serialized by the caller (one writer at a time per fd). A
-// TimedOut send leaves the stream mid-frame — the connection is dead to
-// the protocol and the caller must drop it. Throws on oversized payloads
-// or unexpected syscall failures.
-[[nodiscard]] IoStatus send_frame_within(int fd,
-                                         const std::vector<std::uint8_t>& payload,
-                                         IoDeadline deadline);
+// Writes one frame (u32 length | u32 crc32 | payload) by `deadline`: one
+// send(2) when the socket has room. Serialized by the caller (one writer
+// at a time per fd). A TimedOut send may leave the stream mid-frame, so
+// the caller must shut the socket down. Throws on oversized payloads or
+// unexpected syscall failures.
+[[nodiscard]] IoStatus send_frame(int fd, const std::vector<std::uint8_t>& payload,
+                                  IoDeadline deadline);
 
-// Reads a complete frame into `payload`, honoring both `stop` and
-// `deadline` (whichever trips first). Throws lbs::Error on a mis-framed
-// stream (length above kMaxFrameBytes) or a CRC mismatch — the caller
-// should drop the connection.
-[[nodiscard]] IoStatus recv_frame_within(int fd, std::vector<std::uint8_t>& payload,
-                                         const std::atomic<bool>& stop,
-                                         IoDeadline deadline, int slice_ms = 100);
-
-// Deadline-free convenience wrappers (the pre-deadline API; false folds
-// Closed and Stopped together).
-[[nodiscard]] bool send_frame(int fd, const std::vector<std::uint8_t>& payload);
-[[nodiscard]] bool recv_frame(int fd, std::vector<std::uint8_t>& payload,
-                              const std::atomic<bool>& stop, int slice_ms = 100);
+// Reads one frame into `payload`. Its first byte must arrive by
+// `deadline`; once it has, the whole frame must arrive within
+// `frame_timeout_ms` too (0: `deadline` alone bounds it), so a length
+// word that promises more bytes than ever follow costs one timeout, not
+// a wedged reader. Throws lbs::Error on a mis-framed stream (length
+// above kMaxFrameBytes) or a CRC mismatch — the caller should drop the
+// connection.
+[[nodiscard]] IoStatus recv_frame(int fd, std::vector<std::uint8_t>& payload,
+                                  IoDeadline deadline,
+                                  std::uint32_t frame_timeout_ms);
 
 void close_fd(int fd);
 

@@ -213,10 +213,9 @@ TEST(FrameIntegrity, PayloadCorruptionFailsTheChecksumDeterministically) {
   ASSERT_EQ(::write(fds[0], frame.data(), frame.size()),
             static_cast<ssize_t>(frame.size()));
 
-  std::atomic<bool> stop{false};
   std::vector<std::uint8_t> received;
   EXPECT_THROW(
-      (void)recv_frame_within(fds[1], received, stop, deadline_after_ms(2000)),
+      (void)recv_frame(fds[1], received, deadline_after_ms(2000), 0),
       lbs::Error);
   close_fd(fds[0]);
   close_fd(fds[1]);
@@ -238,15 +237,14 @@ TEST(FrameIntegrity, InjectedCorruptionNeverDeliversWrongBytes) {
     std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     {
       InjectorScope scope(injector);
-      ASSERT_EQ(send_frame_within(fds[0], payload, no_deadline()), IoStatus::Ok);
+      ASSERT_EQ(send_frame(fds[0], payload, no_deadline()), IoStatus::Ok);
     }
     EXPECT_GE(injector.counters().corruptions, 1u);
 
-    std::atomic<bool> stop{false};
-    std::vector<std::uint8_t> received;
+      std::vector<std::uint8_t> received;
     try {
       IoStatus status =
-          recv_frame_within(fds[1], received, stop, deadline_after_ms(200));
+          recv_frame(fds[1], received, deadline_after_ms(200), 0);
       EXPECT_NE(status, IoStatus::Ok)
           << "seed " << seed << ": corrupted frame delivered as Ok";
     } catch (const lbs::Error&) {
@@ -269,7 +267,6 @@ TEST(FrameIntegrity, ShortReadsAndPartialWritesAreLossless) {
   InjectorScope scope(injector);
 
   support::Rng rng(21);
-  std::atomic<bool> stop{false};
   for (int round = 0; round < 20; ++round) {
     std::vector<std::uint8_t> payload(
         static_cast<std::size_t>(rng.uniform_int(1, 600)));
@@ -277,10 +274,10 @@ TEST(FrameIntegrity, ShortReadsAndPartialWritesAreLossless) {
       byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
     std::thread sender([&] {
-      EXPECT_EQ(send_frame_within(fds[0], payload, no_deadline()), IoStatus::Ok);
+      EXPECT_EQ(send_frame(fds[0], payload, no_deadline()), IoStatus::Ok);
     });
     std::vector<std::uint8_t> received;
-    EXPECT_EQ(recv_frame_within(fds[1], received, stop, deadline_after_ms(5000)),
+    EXPECT_EQ(recv_frame(fds[1], received, deadline_after_ms(5000), 0),
               IoStatus::Ok);
     sender.join();
     EXPECT_EQ(received, payload);  // sliced, but byte-identical

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
@@ -18,6 +23,8 @@
 #include "obs/trace.hpp"
 #include "service/client.hpp"
 #include "service/fleet.hpp"
+#include "service/socket.hpp"
+#include "support/checksum.hpp"
 
 namespace lbs::service {
 namespace {
@@ -381,6 +388,252 @@ TEST(ServiceServer, ManyClientsManyKeys) {
   EXPECT_EQ(counters.requests,
             static_cast<std::uint64_t>(kClients * kPerClient) + counters.rejected);
   server.stop();
+}
+
+
+// --- Transport: one frame per direction, shutdown(2) ends a connection ---
+
+// A frame as the transport lays it out (u32 length | u32 crc32 |
+// payload), built by hand so a test can also send one whose length word
+// lies.
+std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload,
+                                    std::uint32_t length) {
+  std::vector<std::uint8_t> frame;
+  auto put_le32 = [&frame](std::uint32_t value) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      frame.push_back(static_cast<std::uint8_t>(value >> shift));
+    }
+  };
+  put_le32(length);
+  put_le32(support::crc32(payload));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload) {
+  return raw_frame(payload, static_cast<std::uint32_t>(payload.size()));
+}
+
+// All-linear costs (the closed-form route: a cheap solve) over 65
+// processors, so replies fill a socket buffer fast; `variant` makes the
+// key distinct.
+model::Platform linear_platform(int variant) {
+  model::Platform platform;
+  for (int k = 0; k < 64; ++k) {
+    model::Processor worker;
+    worker.label = "worker";
+    worker.comm = model::Cost::linear(1e-4 * (k + 1));
+    worker.comp = model::Cost::linear(1e-3 * (1.0 + 0.01 * k + 1e-6 * variant));
+    platform.processors.push_back(worker);
+  }
+  model::Processor root;
+  root.label = "root";
+  root.comm = model::Cost::zero();
+  root.comp = model::Cost::linear(1e-3);
+  platform.processors.push_back(root);
+  return platform;
+}
+
+std::vector<std::uint8_t> linear_request_frame(std::uint64_t id, int variant) {
+  PlanRequest request;
+  request.id = id;
+  request.items = 100000;
+  request.platform = linear_platform(variant);
+  return raw_frame(encode_plan_request(request));
+}
+
+int raw_connect(const std::string& socket_path) {
+  int fd = connect_endpoint(Endpoint::unix_path(socket_path));
+  EXPECT_GE(fd, 0);
+  return fd;
+}
+
+// True once the peer has ended the connection (shutdown or close), seen
+// without reading a byte: reading would make room for a blocked writer.
+bool peer_hung_up_within(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLRDHUP, 0};
+  return ::poll(&pfd, 1, timeout_ms) == 1 && (pfd.revents & (POLLRDHUP | POLLHUP)) != 0;
+}
+
+int threads_in_process() {
+  int count = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++count;
+  }
+  return count;
+}
+
+// A reply the dispatcher cannot write within reply_timeout_ms ends the
+// connection by shutdown(2): the connection thread reads EOF and closes
+// its own fd, so nothing reads a closed fd or counts a protocol error.
+TEST(ServiceTransport, DispatcherReplyPastDeadlineIsNoProtocolError) {
+  obs::Metrics metrics;
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.reply_timeout_ms = 50;
+  options.max_queue = 100000;
+  options.metrics = &metrics;
+  Server server(options);
+  server.start();
+
+  // Distinct keys, so the dispatcher writes every reply; the test never
+  // reads, so the replies fill the socket and one misses its deadline.
+  const int fd = raw_connect(options.socket_path);
+  int sent = 0;
+  for (; sent < 3000; ++sent) {
+    std::vector<std::uint8_t> frame = linear_request_frame(sent + 1, sent);
+    if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+      break;  // the server already ended the connection
+    }
+  }
+  ASSERT_TRUE(peer_hung_up_within(fd, 10000))
+      << "no reply missed its deadline after " << sent << " requests";
+  // Room for a thread that reads a closed fd to count it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  server.stop();
+  close_fd(fd);
+
+  EXPECT_GT(server.counters().solved, 0u);
+  EXPECT_EQ(server.counters().errors, 0u);
+  EXPECT_EQ(metrics.counter("service.protocol_errors").value(), 0u);
+}
+
+// An inline cache-hit reply that misses reply_timeout_ms ends its
+// connection thread at once, not at stop().
+TEST(ServiceTransport, InlineReplyPastDeadlineEndsItsConnectionThread) {
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.reply_timeout_ms = 50;
+  Server server(options);
+  server.start();
+  Client warm(options.socket_path);
+  ASSERT_EQ(warm.plan(linear_platform(0), 100000).status, PlanStatus::Ok);
+
+  const int before = threads_in_process();
+  const int fd = raw_connect(options.socket_path);
+  // Hits only, answered by the connection thread. Write until the server
+  // stops reading (blocked on a reply nobody reads) or hangs up.
+  for (std::uint64_t id = 1; id < 100000; ++id) {
+    std::vector<std::uint8_t> frame = linear_request_frame(id, 0);
+    if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT) >= 0) {
+      continue;
+    }
+    if (errno != EAGAIN) break;
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 200) == 0) break;
+  }
+
+  int after = threads_in_process();
+  for (int i = 0; i < 100 && after != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = threads_in_process();
+  }
+  EXPECT_EQ(after, before) << "the connection thread outlived its connection";
+  EXPECT_TRUE(peer_hung_up_within(fd, 0));
+  close_fd(fd);
+  warm.close();
+  server.stop();
+}
+
+// A length word that promises more bytes than follow costs the server
+// one reply_timeout_ms, then the connection; it never wedges the reader.
+TEST(ServiceTransport, StalledRequestFrameEndsTheConnection) {
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  options.reply_timeout_ms = 200;
+  Server server(options);
+  server.start();
+
+  const int fd = raw_connect(options.socket_path);
+  std::vector<std::uint8_t> frame =
+      raw_frame(std::vector<std::uint8_t>(1000, 7), 50000);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  EXPECT_TRUE(peer_hung_up_within(fd, 3000))
+      << "the server still waits for the rest of the frame";
+  close_fd(fd);
+
+  Client client(options.socket_path);
+  EXPECT_EQ(client.plan(seeded_platform(1), 1000).status, PlanStatus::Ok);
+  client.close();
+  server.stop();
+}
+
+// A stand-in server: a listener whose one connection the test drives by
+// hand.
+struct RawListener {
+  explicit RawListener(std::string path) : endpoint(Endpoint::unix_path(std::move(path))) {
+    fd = listen_endpoint(endpoint);
+  }
+  ~RawListener() {
+    close_fd(peer);
+    close_fd(fd);
+    ::unlink(endpoint.path.c_str());
+  }
+  RawListener(const RawListener&) = delete;
+  RawListener& operator=(const RawListener&) = delete;
+  int accept_peer() {
+    peer = ::accept(fd, nullptr, nullptr);
+    return peer;
+  }
+  Endpoint endpoint;
+  int fd = -1;
+  int peer = -1;
+};
+
+// A send that misses request_timeout_ms part-way through a frame leaves
+// the stream mid-frame: the call answers Timeout and the connection ends,
+// so no later request follows half a frame.
+TEST(ServiceTransport, ClientSendPastDeadlineEndsTheConnection) {
+  RawListener listener(test_socket_path());  // never reads
+  ClientOptions client_options;
+  client_options.endpoint = listener.endpoint;
+  client_options.request_timeout_ms = 100;
+  Client client(client_options);
+
+  // About 1 MB of tabulated samples: far more than the socket buffers.
+  std::vector<std::pair<long long, double>> samples;
+  for (long long x = 1; x <= 64000; ++x) samples.emplace_back(x, 1e-3 * static_cast<double>(x));
+  model::Platform big = seeded_platform(1);
+  big.processors.front().comp = model::Cost::tabulated(samples);
+
+  PlanResponse first = client.plan(big, 1000);
+  EXPECT_EQ(first.status, PlanStatus::Timeout) << first.message;
+  EXPECT_FALSE(client.connected());
+
+  ASSERT_GE(listener.accept_peer(), 0);
+  int queued = -1;
+  ASSERT_EQ(::ioctl(listener.peer, FIONREAD, &queued), 0);
+  PlanResponse next = client.plan(seeded_platform(2), 1000);
+  EXPECT_EQ(next.status, PlanStatus::Disconnected);
+  int queued_after = -1;
+  ASSERT_EQ(::ioctl(listener.peer, FIONREAD, &queued_after), 0);
+  EXPECT_EQ(queued_after, queued) << "the next request wrote after a half frame";
+  client.close();
+}
+
+// The client's reader bounds a reply frame by request_timeout_ms once its
+// first byte is in, so a lying length word ends the connection.
+TEST(ServiceTransport, StalledReplyFrameEndsTheClientConnection) {
+  RawListener listener(test_socket_path());
+  ClientOptions client_options;
+  client_options.endpoint = listener.endpoint;
+  client_options.request_timeout_ms = 200;
+  Client client(client_options);
+  auto reply = client.plan_async(seeded_platform(1), 1000);
+
+  ASSERT_GE(listener.accept_peer(), 0);
+  std::vector<std::uint8_t> frame =
+      raw_frame(std::vector<std::uint8_t>(1000, 7), 50000);
+  ASSERT_EQ(::send(listener.peer, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds(3)), std::future_status::ready)
+      << "the reader still waits for the rest of the frame";
+  EXPECT_EQ(reply.get().status, PlanStatus::Disconnected);
+  EXPECT_FALSE(client.connected());
+  client.close();
 }
 
 }  // namespace
