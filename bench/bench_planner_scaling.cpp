@@ -15,7 +15,10 @@
 //   - the affine fast path: an Algorithm::Auto plan on a genuinely affine
 //     platform must route to the LP heuristic (a dense simplex over p + 1
 //     columns, independent of n), carry the Eq. 4 optimality certificate,
-//     and finish in far under a second at n = 10^6.
+//     and finish in far under a second at n = 10^6,
+//   - optimized_dp on non-affine Tcomm (chunked, tabulated) at n = 10^5,
+//     2*10^5 and 10^6, serial vs pooled: Algorithm 2's piece-wise kernel
+//     on the costs calibration produces.
 // Every variant must reproduce the serial distribution *bit-identically* —
 // that is a hard shape check, not a tolerance. Speedup is asserted (>= 3x
 // at the largest n) only when the host actually offers >= 4 threads; the
@@ -158,6 +161,57 @@ int main(int argc, char** argv) {
     comparisons.push_back({"divide&conquer recursed (n=" + std::to_string(n) + ")",
                            "re-sweeps cells", support::format_double(resweep, 2) + "x cells",
                            resweep > 1.0});
+  }
+
+  // Non-affine Tcomm on the same testbed, only Tcomm swapped: chunked
+  // transfers (25 chunks per n, each adding a quarter of its own transfer
+  // time) and calibration-like tables (6 samples, a mild upward bend).
+  // Each row must reproduce its serial counts and cost bit for bit, and a
+  // 10^6-item plan must finish in under 5 s pooled, as the affine one does.
+  for (const std::string kind : {"chunked", "tabulated"}) {
+    for (long long n : {100'000LL, 200'000LL, 1'000'000LL}) {
+      if (n > max_n) break;
+      model::Platform swapped = platform;
+      for (int i = 0; i + 1 < p; ++i) {
+        model::Processor& proc = swapped.processors[static_cast<std::size_t>(i)];
+        const double beta = proc.comm.per_item_slope();
+        if (kind == "chunked") {
+          const long long chunk = n / 25;
+          proc.comm = model::Cost::chunked(beta, chunk, 0.25 * beta * static_cast<double>(chunk));
+        } else {
+          std::vector<std::pair<long long, double>> samples;
+          for (int j = 1; j <= 6; ++j) {
+            const long long x = n * j / 6;
+            samples.emplace_back(x, beta * static_cast<double>(x) * (1.0 + 0.04 * j / 6.0));
+          }
+          proc.comm = model::Cost::tabulated(std::move(samples));
+        }
+      }
+      auto serial = run_dp(true, swapped, n, serial_opts);
+      auto parallel = run_dp(true, swapped, n, parallel_opts);
+      const bool identical =
+          serial.result.distribution.counts == parallel.result.distribution.counts &&
+          serial.result.cost == parallel.result.cost;
+      const double speedup = serial.seconds / parallel.seconds;
+      table.add_row({"optimized_dp (" + kind + " Tcomm)", std::to_string(n),
+                     support::format_seconds(serial.seconds),
+                     support::format_seconds(parallel.seconds),
+                     support::format_double(speedup, 2) + "x", identical ? "yes" : "NO"});
+      report.add({"optimized_dp_" + kind + "_serial", n, p, serial.seconds,
+                  static_cast<double>(n) / serial.seconds, serial.result.threads_used, {}});
+      report.add({"optimized_dp_" + kind + "_parallel", n, p, parallel.seconds,
+                  static_cast<double>(n) / parallel.seconds, parallel.result.threads_used,
+                  {{"speedup", speedup}}});
+      comparisons.push_back({kind + " Tcomm parallel == serial (n=" + std::to_string(n) + ")",
+                             "bit-identical", identical ? "bit-identical" : "DIVERGED",
+                             identical});
+      if (n >= 1'000'000) {
+        comparisons.push_back({"optimized_dp " + kind + " Tcomm wall time at n=" +
+                                   std::to_string(n),
+                               "< 5 s", support::format_seconds(parallel.seconds),
+                               parallel.seconds < 5.0});
+      }
+    }
   }
 
   // Algorithm 1 is O(p n^2): compare serial vs parallel at a small n only.

@@ -6,8 +6,8 @@
 namespace lbs::model {
 
 namespace {
-// Cost::at is cheap (affine) to moderately priced (tabulated search);
-// chunks of a few thousand evaluations amortize the dispatch overhead.
+// A fill costs a few ns per value; chunks of a few thousand values
+// amortize the pool's dispatch.
 constexpr long long kFillGrain = 8192;
 }  // namespace
 
@@ -18,10 +18,10 @@ void fill_cost_rows(const Processor& processor, long long items,
   LBS_CHECK(comm_row.size() == static_cast<std::size_t>(items) + 1);
   LBS_CHECK(comp_row.size() == static_cast<std::size_t>(items) + 1);
   auto fill = [&](long long begin, long long end) {
-    for (long long e = begin; e < end; ++e) {
-      comm_row[static_cast<std::size_t>(e)] = processor.comm(e);
-      comp_row[static_cast<std::size_t>(e)] = processor.comp(e);
-    }
+    const auto offset = static_cast<std::size_t>(begin);
+    const auto count = static_cast<std::size_t>(end - begin);
+    processor.comm.fill(begin, comm_row.subspan(offset, count));
+    processor.comp.fill(begin, comp_row.subspan(offset, count));
   };
   if (threads == 1) {
     fill(0, items + 1);

@@ -188,14 +188,14 @@ Message Client::control(std::uint64_t id, const std::vector<std::uint8_t>& paylo
 }
 
 void Client::end_connection() {
-  // shutdown() wakes the reader, which fails the pending requests and
-  // closes the fd.
-  std::lock_guard<std::mutex> lock(write_mu_);
+  // shutdown() wakes the reader, which fails the pending requests, and
+  // fails a send in progress. Not under write_mu_: a send with no
+  // deadline may hold it until this very shutdown.
+  std::lock_guard<std::mutex> lock(fd_mu_);
   disconnected_.store(true, std::memory_order_release);
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-// The only thread that closes fd_.
 void Client::reader_loop() {
   std::vector<std::uint8_t> payload;
   while (true) {
@@ -241,12 +241,7 @@ void Client::reader_loop() {
     if (have_plan) plan_promise.set_value(std::move(*message.plan_response));
     if (have_control) control_promise.set_value(std::move(message));
   }
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    disconnected_.store(true, std::memory_order_release);
-    close_fd(fd_);
-    fd_ = -1;
-  }
+  end_connection();
   fail_all_pending();
 }
 
@@ -270,6 +265,11 @@ void Client::close() {
   std::call_once(close_once_, [this] {
     end_connection();
     if (reader_.joinable()) reader_.join();
+    // Sends on the shut-down socket fail at once, so write_mu_ frees up;
+    // only then can the fd number be released for reuse.
+    std::scoped_lock lock(write_mu_, fd_mu_);
+    close_fd(fd_);
+    fd_ = -1;
   });
 }
 

@@ -25,7 +25,8 @@
 //     resolves with PlanStatus::Disconnected — futures never hang, and
 //     connected() turns false. A Client never re-dials; close() is
 //     terminal. Every stop is a shutdown(2) that wakes the reader
-//     thread; that thread alone closes the fd.
+//     thread and fails a send in progress; close() closes the fd once it
+//     has joined the reader.
 //
 // Policy — retries, backoff, circuit breaking, re-dialing and the local
 // fallback — lives in one place, service::FleetClient (fleet.hpp). A
@@ -173,9 +174,12 @@ class Client {
   ClientOptions options_;
   obs::Metrics* metrics_ = nullptr;
 
-  int fd_ = -1;  // closed (and set -1) only by the reader, under write_mu_
+  // Closed (and set -1) only by close(), after the reader has exited,
+  // under write_mu_ and fd_mu_.
+  int fd_ = -1;
   std::atomic<bool> disconnected_{false};
-  std::mutex write_mu_;  // one frame writer at a time; also guards fd_
+  std::mutex write_mu_;  // one frame writer at a time
+  std::mutex fd_mu_;     // shutdown(2) against close(): never a reused fd
   std::once_flag close_once_;
 
   std::mutex pending_mu_;

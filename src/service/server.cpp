@@ -128,11 +128,10 @@ void Server::stop() {
     // Each connection thread then reads EOF, closes its own fd and exits;
     // writes stay open for the replies to requests it read before that.
     std::lock_guard lock(connections_mu_);
-    for (auto& connection : open_connections_) connection->shutdown_read();
-    for (auto& thread : connection_threads_) {
-      if (thread.joinable()) thread.join();
+    for (auto& open : open_connections_) open.connection->shutdown_read();
+    for (auto& open : open_connections_) {
+      if (open.thread.joinable()) open.thread.join();
     }
-    connection_threads_.clear();
     open_connections_.clear();
   }
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
@@ -397,9 +396,21 @@ void Server::accept_loop() {
     connection->fd = fd;
     connection->send_timeout_ms = options_.reply_timeout_ms;
     std::lock_guard lock(connections_mu_);
-    open_connections_.push_back(connection);
-    connection_threads_.emplace_back(&Server::connection_loop, this, connection);
+    reap_finished_connections();
+    OpenConnection& open = open_connections_.emplace_back();
+    open.connection = connection;
+    open.thread = std::thread(&Server::connection_loop, this, std::move(connection));
   }
+}
+
+// Every finished connection thread keeps its stack mapped until joined,
+// so a long-lived server whose clients re-dial joins them as it accepts.
+void Server::reap_finished_connections() {
+  std::erase_if(open_connections_, [](OpenConnection& open) {
+    if (!open.connection->finished.load()) return false;
+    open.thread.join();  // the thread has returned or is returning
+    return true;
+  });
 }
 
 // The only thread that closes connection->fd: every other thread writes
@@ -430,6 +441,7 @@ void Server::connection_loop(std::shared_ptr<Connection> connection) {
     }
   }
   connection->close();
+  connection->finished.store(true);
 }
 
 void Server::handle_message(const std::shared_ptr<Connection>& connection,

@@ -224,6 +224,7 @@ class Server {
     int fd = -1;  // written only by the connection thread, under write_mu
     std::uint32_t send_timeout_ms = 0;  // 0: no deadline
     std::mutex write_mu;  // one frame writer at a time; also guards fd
+    std::atomic<bool> finished{false};  // the connection thread is done
 
     // One frame by send_timeout_ms; a missed deadline shuts fd down.
     bool send(const std::vector<std::uint8_t>& payload);
@@ -248,6 +249,9 @@ class Server {
   using PendingPtr = std::shared_ptr<PendingSolve>;
 
   void accept_loop();
+  // Joins and drops the connections whose threads have finished; the
+  // caller holds connections_mu_.
+  void reap_finished_connections();
   void connection_loop(std::shared_ptr<Connection> connection);
   void dispatch_loop();
   void snapshot_loop();
@@ -288,11 +292,15 @@ class Server {
   std::thread accept_thread_;
   std::thread dispatch_thread_;
   std::thread snapshot_thread_;
+  struct OpenConnection {
+    std::shared_ptr<Connection> connection;
+    std::thread thread;
+  };
   std::mutex connections_mu_;
-  std::vector<std::thread> connection_threads_;
-  // Every accepted connection, so stop() can shut down their read sides
-  // after the dispatcher finishes. Guarded by connections_mu_.
-  std::vector<std::shared_ptr<Connection>> open_connections_;
+  // Every accepted connection whose thread the accept loop has not yet
+  // joined, so stop() can shut down their read sides after the dispatcher
+  // finishes. Guarded by connections_mu_.
+  std::vector<OpenConnection> open_connections_;
   std::mutex snapshot_write_mu_;  // one snapshot writer at a time
 
   mutable std::mutex stop_request_mu_;

@@ -233,11 +233,7 @@ TEST(ServiceServer, AdmissionControlAnswersError) {
   server.stop();
 }
 
-// Whether a multi-terabyte allocation would abort or overcommit instead of
-// throwing std::bad_alloc: ASan and TSan allocators abort on oversized
-// requests by default, and vm.overcommit_memory = 1 hands the memory out
-// and lets the zero-fill run into the OOM killer.
-bool huge_allocations_do_not_throw() {
+bool built_with_sanitizer() {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return true;
 #else
@@ -246,10 +242,55 @@ bool huge_allocations_do_not_throw() {
   return true;
 #endif
 #endif
+  return false;
+#endif
+}
+
+// Whether a multi-terabyte allocation would abort or overcommit instead of
+// throwing std::bad_alloc: ASan and TSan allocators abort on oversized
+// requests by default, and vm.overcommit_memory = 1 hands the memory out
+// and lets the zero-fill run into the OOM killer.
+bool huge_allocations_do_not_throw() {
+  if (built_with_sanitizer()) return true;
   std::ifstream overcommit("/proc/sys/vm/overcommit_memory");
   int mode = 0;
   return overcommit >> mode && mode == 1;
-#endif
+}
+
+long long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+// A finished connection's thread is joined while the server serves, not
+// at stop(): each unjoined thread keeps its stack mapping (8 MB here), so
+// a daemon whose clients re-dial would grow without bound.
+TEST(ServiceServer, FinishedConnectionsReleaseTheirThreadsWhileServing) {
+  if (built_with_sanitizer()) {
+    GTEST_SKIP() << "sanitizer runtimes map shadow memory per thread";
+  }
+  ServerOptions options;
+  options.socket_path = test_socket_path();
+  Server server(options);
+  server.start();
+  {
+    Client warm(options.socket_path);  // first-use mappings before measuring
+    ASSERT_TRUE(warm.ping());
+  }
+  const long long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) {
+    Client client(options.socket_path);
+    ASSERT_TRUE(client.ping());
+  }
+  const long long growth_mb = (vm_size_kb() - before_kb) / 1024;
+  EXPECT_LT(growth_mb, 256) << kCycles << " finished connections kept their threads";
+  server.stop();
 }
 
 // Admission bounds the request, not the solve: n = 2^40 is exactly the
@@ -612,6 +653,46 @@ TEST(ServiceTransport, ClientSendPastDeadlineEndsTheConnection) {
   ASSERT_EQ(::ioctl(listener.peer, FIONREAD, &queued_after), 0);
   EXPECT_EQ(queued_after, queued) << "the next request wrote after a half frame";
   client.close();
+}
+
+// close() shuts the socket down without the write lock, so a send with no
+// deadline to a peer that never reads fails at once and answers
+// Disconnected instead of holding close() until the peer reads.
+TEST(ServiceTransport, CloseDoesNotWaitBehindAStuckSend) {
+  RawListener listener(test_socket_path());  // never reads
+  ClientOptions client_options;
+  client_options.endpoint = listener.endpoint;
+  Client client(client_options);
+  ASSERT_GE(listener.accept_peer(), 0);
+
+  // About 1 MB of tabulated samples: far more than the socket buffers.
+  std::vector<std::pair<long long, double>> samples;
+  for (long long x = 1; x <= 64000; ++x) samples.emplace_back(x, 1e-3 * static_cast<double>(x));
+  model::Platform big = seeded_platform(1);
+  big.processors.front().comp = model::Cost::tabulated(samples);
+  auto sender = std::async(std::launch::async,
+                           [&] { return client.plan_async(big, 1000).get(); });
+
+  // The send is stuck once the peer's queue stops growing.
+  int queued = -1;
+  for (int i = 0; i < 300; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    int now = -1;
+    ASSERT_EQ(::ioctl(listener.peer, FIONREAD, &now), 0);
+    if (now > 0 && now == queued) break;
+    queued = now;
+  }
+  auto closer = std::async(std::launch::async, [&] { client.close(); });
+  const bool closed_promptly =
+      closer.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  // End the peer either way, so a close() stuck behind the send returns.
+  close_fd(listener.peer);
+  listener.peer = -1;
+  closer.wait();
+  EXPECT_TRUE(closed_promptly) << "close() waited behind a send with no deadline";
+  ASSERT_EQ(sender.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_EQ(sender.get().status, PlanStatus::Disconnected);
+  EXPECT_FALSE(client.connected());
 }
 
 // The client's reader bounds a reply frame by request_timeout_ms once its
