@@ -8,6 +8,19 @@
 // solved in rationals, then rounded with the Section 3.3 scheme, giving
 // (Eq. 4):  T_opt <= T' <= T_opt + sum_j Tcomm(j,1) + max_i Tcomp(i,1).
 //
+// The LP is solved exactly by its chain structure, in one backward and one
+// forward pass over the processors. G_i(u), the most items processors
+// i..p can take when the root starts sending to processor i with u seconds
+// left before T, is concave, piecewise linear and independent of T, so
+// T = min{u : G_1(u) >= n} is read off G_1's pieces, and the forward pass
+// replays each stage's choice at that budget. One stage turns G_{i+1} into
+// G_i: pieces where one more item for i costs the later processors at
+// least as much as it adds keep n_i = 0; one piece of slope 1/β_i follows;
+// the rest, where row i caps n_i, map through Theorem 2's recurrence. With
+// the pieces in two deques and the map as a lazy tag, a pass is O(p)
+// amortized in Theorem 3 order and O(p^2) at worst. The dense simplex in
+// lp/ is kept only as the tests' oracle.
+//
 // Note the LP treats an affine cost as affine *everywhere*, including at
 // n_i = 0 where the true cost is 0 — one reason this is a heuristic, exact
 // in the linear case modulo rounding.
@@ -18,8 +31,6 @@
 
 #include "core/distribution.hpp"
 #include "model/platform.hpp"
-#include "support/bigrational.hpp"
-#include "support/rational.hpp"
 
 namespace lbs::core {
 
@@ -31,26 +42,10 @@ struct HeuristicResult {
   double guarantee_slack = 0.0;   // Eq. 4 additive slack
 };
 
-// Requires platform.all_costs_affine(). Throws lbs::Error if the LP solver
-// fails (cannot happen for a well-formed platform: the LP is always
-// feasible and bounded).
+// Requires platform.all_costs_affine(). When some processor's two slopes
+// are both zero, the LP's optimum is the least T at which every row holds
+// with zero shares, and the first such processor takes every item.
 HeuristicResult lp_heuristic(const model::Platform& platform, long long items);
-
-// Exact-rational variant, matching the paper's actual procedure (it used
-// pipMP, an exact solver): the affine coefficients are approximated by
-// rationals with denominator <= max_denominator (continued fractions),
-// the LP is solved by the exact simplex, and the rounding scheme runs in
-// exact arithmetic. `makespan` is still evaluated on the platform's true
-// (double) cost model.
-struct ExactHeuristicResult {
-  Distribution distribution;
-  double makespan = 0.0;
-  std::vector<support::BigRational> rational_shares;
-  support::BigRational rational_makespan;  // of the approximated LP
-};
-ExactHeuristicResult lp_heuristic_exact(const model::Platform& platform,
-                                        long long items,
-                                        long long max_denominator = 1000000);
 
 // Independent cross-check used by tests: assuming *every* processor works
 // and all finish simultaneously, the affine equal-finish chain

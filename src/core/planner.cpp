@@ -29,18 +29,22 @@ std::string to_string(Algorithm algorithm) {
 
 namespace {
 
-bool all_costs_linear(const model::Platform& platform) {
+// Linear costs with a positive compute slope everywhere: Theorem 1's chain
+// is defined. Other linear platforms (a free root, say) take the LP route,
+// whose Eq. 4 gap equals the linear one when every fixed term is zero.
+bool closed_form_applies(const model::Platform& platform) {
   for (int i = 0; i < platform.size(); ++i) {
     auto comm = platform[i].comm.affine();
     auto comp = platform[i].comp.affine();
     if (!comm || !comp || comm->fixed != 0.0 || comp->fixed != 0.0) return false;
+    if (!(comp->per_item > 0.0)) return false;
   }
   return true;
 }
 
 Algorithm resolve(const model::Platform& platform, Algorithm requested) {
   if (requested != Algorithm::Auto) return requested;
-  if (all_costs_linear(platform)) return Algorithm::LinearClosedForm;
+  if (closed_form_applies(platform)) return Algorithm::LinearClosedForm;
   if (platform.all_costs_affine()) return Algorithm::LpHeuristic;
   if (platform.all_costs_increasing()) return Algorithm::OptimizedDp;
   return Algorithm::ExactDp;

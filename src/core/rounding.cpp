@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -22,39 +22,44 @@ Distribution round_distribution(std::span<const double> shares, long long items)
   std::size_t p = shares.size();
   Distribution result;
   result.counts.assign(p, 0);
-  std::vector<bool> done(p, false);
+  std::vector<char> done(p, 0);
+
+  // Each share's distance to its floor and to its ceiling, as the scan
+  // computes them, sorted once each with ties to the smaller index. The
+  // pick nearest its rounding target is then the first undone entry of
+  // one order: the ceiling order while e < 0, the floor order while e > 0,
+  // and while e == 0 whichever head is nearer (|round(s) - s| is the
+  // smaller of the two distances, bit for bit).
+  using Entry = std::pair<double, std::size_t>;
+  std::vector<Entry> by_floor(p);
+  std::vector<Entry> by_ceil(p);
+  for (std::size_t i = 0; i < p; ++i) {
+    double share = std::max(shares[i], 0.0);
+    by_floor[i] = {std::abs(std::floor(share) - share), i};
+    by_ceil[i] = {std::abs(std::ceil(share) - share), i};
+  }
+  std::sort(by_floor.begin(), by_floor.end());
+  std::sort(by_ceil.begin(), by_ceil.end());
+  std::size_t floor_head = 0;
+  std::size_t ceil_head = 0;
 
   // error = (assigned so far) - (rational so far); the paper's e.
   double error = 0.0;
   for (std::size_t step = 0; step + 1 < p; ++step) {
-    // Pick the undone share nearest to its rounding target: nearest integer
-    // on the first step / when e == 0, else nearest ceiling (e < 0) or
-    // nearest floor (e > 0).
-    std::size_t best = p;
-    double best_distance = std::numeric_limits<double>::infinity();
-    double best_value = 0.0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if (done[i]) continue;
-      double share = std::max(shares[i], 0.0);
-      double target;
-      if (error < 0.0) {
-        target = std::ceil(share);
-      } else if (error > 0.0) {
-        target = std::floor(share);
-      } else {
-        target = std::round(share);
-      }
-      double distance = std::abs(target - share);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best = i;
-        best_value = target;
-      }
-    }
-    LBS_CHECK(best < p);
-    done[best] = true;
-    result.counts[best] = static_cast<long long>(best_value);
-    error += best_value - shares[best];
+    while (done[by_floor[floor_head].second]) ++floor_head;
+    while (done[by_ceil[ceil_head].second]) ++ceil_head;
+    const Entry& lower = by_floor[floor_head];
+    const Entry& upper = by_ceil[ceil_head];
+    const std::size_t best = error < 0.0   ? upper.second
+                             : error > 0.0 ? lower.second
+                                           : std::min(lower, upper).second;
+    const double share = std::max(shares[best], 0.0);
+    const double value = error < 0.0   ? std::ceil(share)
+                         : error > 0.0 ? std::floor(share)
+                                       : std::round(share);
+    done[best] = 1;
+    result.counts[best] = static_cast<long long>(value);
+    error += value - shares[best];
   }
 
   // Last share absorbs the residual: n'_k = n_k - e (so the total is exact).

@@ -10,6 +10,12 @@
 // accumulated error e; while e < 0 round the share nearest to its ceiling
 // up, while e > 0 round the share nearest to its floor down; the last
 // share absorbs the remaining error exactly.
+//
+// round_distribution sorts the shares once by distance to their floor and
+// once by distance to their ceiling, ties to the smaller index, and takes
+// each pick from the head that e's sign selects: O(p log p), with the
+// same picks as a scan over every unrounded share per pick. The exact
+// variants still scan, O(p^2).
 #pragma once
 
 #include <span>

@@ -88,11 +88,7 @@ class Tableau {
 
   // Minimizes the given objective (size total_, artificials included) over
   // the current basis; columns with allow[j] == false never enter.
-  // Returns false when unbounded. Cache-line aligned: the reduced-cost and
-  // pivot loops inlined here ran ~20% slower in perfbench plan_affine (on
-  // a Sapphire Rapids Xeon) when unrelated code shifted this function by
-  // 16 bytes, so its start is pinned rather than left to the link order.
-  [[gnu::aligned(64)]]
+  // Returns false when unbounded.
   bool optimize(const std::vector<double>& objective, const std::vector<bool>& allow) {
     int m = static_cast<int>(rows_.size());
     for (;;) {

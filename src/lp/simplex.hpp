@@ -2,10 +2,10 @@
 //
 // The paper's guaranteed heuristic (Section 3.3) codes the scatter problem
 // as a linear program and solves it in rationals (the authors used pipMP).
-// Our substitute is this small dense solver: the scatter LP has p+1
-// variables and p+1 constraints (p <= a few dozen processors), so a dense
-// tableau with Bland's anti-cycling rule is exact enough (double precision)
-// and runs in microseconds.
+// core::lp_heuristic solves that LP by its chain structure; this general
+// solver is the tests' oracle for it. A dense tableau with Bland's
+// anti-cycling rule in double precision costs O(p^3) on the scatter LP's
+// p+1 variables and p+1 constraints.
 //
 // Problem form: minimize cᵀx subject to row constraints (<=, >=, =) and
 // x >= 0.

@@ -38,6 +38,35 @@ TEST(Planner, AutoPicksHeuristicForAffineCosts) {
   EXPECT_EQ(plan.algorithm_used, Algorithm::LpHeuristic);
 }
 
+// Theorem 1's chain needs every compute slope positive. A linear platform
+// with a free worker or root is still valid; Auto plans it on the LP route.
+TEST(Planner, AutoPlansLinearCostsWithAZeroComputeSlope) {
+  model::Platform platform;
+  model::Processor worker;
+  worker.label = "free-compute";
+  worker.comm = model::Cost::linear(1e-3);
+  worker.comp = model::Cost::linear(0.0);
+  platform.processors.push_back(worker);
+  model::Processor root;
+  root.label = "root";
+  root.comm = model::Cost::zero();
+  root.comp = model::Cost::linear(2e-3);
+  platform.processors.push_back(root);
+  ScatterPlan plan = plan_scatter(platform, 1000);
+  EXPECT_EQ(plan.algorithm_used, Algorithm::LpHeuristic);
+  EXPECT_EQ(plan.distribution.total(), 1000);
+  DpResult optimum = exact_dp(platform, 1000);
+  EXPECT_GE(plan.predicted_makespan, optimum.cost - 1e-12);
+  EXPECT_LE(plan.predicted_makespan, optimum.cost + plan.optimality_gap + 1e-12);
+
+  // A root that computes for free takes every item, and nothing waits.
+  platform.processors[1].comp = model::Cost::zero();
+  plan = plan_scatter(platform, 1000);
+  EXPECT_EQ(plan.algorithm_used, Algorithm::LpHeuristic);
+  EXPECT_EQ(plan.distribution.counts, (std::vector<long long>{0, 1000}));
+  EXPECT_EQ(plan.predicted_makespan, 0.0);
+}
+
 TEST(Planner, AutoPicksOptimizedDpForIncreasingCosts) {
   model::Platform platform;
   model::Processor p1;

@@ -13,6 +13,7 @@
 #include "core/planner.hpp"
 #include "core/rounding.hpp"
 #include "gridsim/gridsim.hpp"
+#include "lp/exact_heuristic.hpp"
 #include "model/testbed.hpp"
 #include "mq/platform_link.hpp"
 #include "mq/runtime.hpp"
@@ -41,7 +42,7 @@ TEST_P(SolverCrossValidation, AllMethodsAgreeOnLinearPlatforms) {
   // Four independent solvers of the same problem.
   auto dp = core::optimized_dp(platform, n);
   auto heuristic = core::lp_heuristic(platform, n);
-  auto exact_heuristic = core::lp_heuristic_exact(platform, n);
+  auto exact_heuristic = lp::lp_heuristic_exact(platform, n);
   auto closed = core::solve_linear(platform, n);
   auto closed_rounded = core::round_distribution(closed.share, n);
 
@@ -90,7 +91,7 @@ TEST_P(AffineSweep, HeuristicWithinGuaranteeOnAffinePlatforms) {
     EXPECT_GE(heuristic.makespan, dp.cost - 1e-9);
     EXPECT_LE(heuristic.makespan, dp.cost + heuristic.guarantee_slack + 1e-9);
 
-    auto exact = core::lp_heuristic_exact(platform, n);
+    auto exact = lp::lp_heuristic_exact(platform, n);
     EXPECT_GE(exact.makespan, dp.cost - 1e-9);
     // The exact path approximates coefficients (bounded denominators), so
     // allow a small relative epsilon on top of the guarantee.

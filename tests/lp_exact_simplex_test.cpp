@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/heuristic.hpp"
+#include "lp/exact_heuristic.hpp"
 #include "model/testbed.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -151,7 +152,7 @@ TEST(ExactHeuristic, MatchesDoubleHeuristicOnTestbed) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
   for (long long n : {1000LL, 50000LL}) {
-    auto exact = core::lp_heuristic_exact(platform, n);
+    auto exact = lp_heuristic_exact(platform, n);
     auto dbl = core::lp_heuristic(platform, n);
     EXPECT_EQ(exact.distribution.total(), n);
     EXPECT_NEAR(exact.rational_makespan.to_double(), dbl.rational_makespan,
@@ -165,7 +166,7 @@ TEST(ExactHeuristic, ExactRoundingInvariantsHold) {
   auto grid = model::paper_testbed();
   auto platform = make_platform(grid, model::paper_root(grid));
   long long n = 12345;
-  auto result = core::lp_heuristic_exact(platform, n);
+  auto result = lp_heuristic_exact(platform, n);
   ASSERT_EQ(result.rational_shares.size(), static_cast<std::size_t>(platform.size()));
   BigRational sum;
   for (std::size_t i = 0; i < result.rational_shares.size(); ++i) {
